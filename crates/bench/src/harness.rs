@@ -648,26 +648,32 @@ fn kde_fit_row(cfg: &BenchConfig, clock: &dyn Clock) -> Result<BenchRow, String>
     Ok(row)
 }
 
+/// The `engine` workload's layout: two sensors × two streams.
+fn engine_groups() -> Vec<(u16, Vec<usize>)> {
+    vec![(0, vec![0, 1]), (1, vec![2, 3])]
+}
+
+/// The `engine` workload's day as encoded v1 frames, tick-major.
+fn engine_frames(cfg: &BenchConfig, groups: &[(u16, Vec<usize>)]) -> Vec<Vec<u8>> {
+    let rows_flat = seeded_rows(cfg.seed ^ 0xE6, cfg.engine_ticks);
+    let mut frames = Vec::new();
+    for tick in 0..cfg.engine_ticks {
+        let row = &rows_flat[tick as usize * N_STREAMS..(tick as usize + 1) * N_STREAMS];
+        for (sensor, positions) in groups {
+            let values = positions.iter().map(|&p| row[p] as f32).collect();
+            frames.push(Frame::rssi(*sensor, tick as u32, tick, values).encode());
+        }
+    }
+    frames
+}
+
 fn engine_row(cfg: &BenchConfig, clock: &dyn Clock) -> Result<BenchRow, String> {
     let re = trained_re(cfg.seed);
     let inputs = busy_inputs(cfg.engine_ticks);
-    let groups: Vec<(u16, Vec<usize>)> = vec![(0, vec![0, 1]), (1, vec![2, 3])];
+    let groups = engine_groups();
     let engine_cfg = EngineConfig::new(TICK_HZ, bench_params());
     // Pre-encode the whole day's frames so only ingest+step is timed.
-    let rows_flat = seeded_rows(cfg.seed ^ 0xE6, cfg.engine_ticks);
-    let mut bytes = Vec::new();
-    for tick in 0..cfg.engine_ticks {
-        let row = &rows_flat[tick as usize * N_STREAMS..(tick as usize + 1) * N_STREAMS];
-        for (sensor, positions) in &groups {
-            let frame = Frame::rssi(
-                *sensor,
-                tick as u32,
-                tick,
-                positions.iter().map(|&p| row[p] as f32).collect(),
-            );
-            bytes.extend_from_slice(&frame.encode());
-        }
-    }
+    let bytes = engine_frames(cfg, &groups).concat();
     let mut actions_total = 0u64;
     let mut digest = 0u64;
     let mut frames_in = 0u64;
@@ -706,7 +712,7 @@ fn fleet_demux_row(cfg: &BenchConfig, clock: &dyn Clock) -> Result<BenchRow, Str
     const SHARDS: usize = 4;
     let re = trained_re(cfg.seed);
     let inputs = busy_inputs(cfg.engine_ticks);
-    let groups: Vec<(u16, Vec<usize>)> = vec![(0, vec![0, 1]), (1, vec![2, 3])];
+    let groups = engine_groups();
     let engine_cfg = EngineConfig::new(TICK_HZ, bench_params());
     // One merged blob: each tick's frames for all offices, interleaved
     // the way a shared ingestion front would see them.
@@ -734,20 +740,7 @@ fn fleet_demux_row(cfg: &BenchConfig, clock: &dyn Clock) -> Result<BenchRow, Str
         let kma = Kma::new(&inputs);
         let mut engine = StreamingEngine::new(engine_cfg, groups.clone(), &re, kma)
             .expect("bench engine layout is valid");
-        let mut single = Vec::new();
-        for tick in 0..cfg.engine_ticks {
-            let row = &rows_flat[tick as usize * N_STREAMS..(tick as usize + 1) * N_STREAMS];
-            for (sensor, positions) in &groups {
-                let frame = Frame::rssi(
-                    *sensor,
-                    tick as u32,
-                    tick,
-                    positions.iter().map(|&p| row[p] as f32).collect(),
-                );
-                single.extend_from_slice(&frame.encode());
-            }
-        }
-        engine.ingest_bytes(&single);
+        engine.ingest_bytes(&engine_frames(cfg, &groups).concat());
         engine.finish(cfg.engine_ticks);
         action_digest(engine.actions())
     };
@@ -804,17 +797,20 @@ fn fleet_demux_row(cfg: &BenchConfig, clock: &dyn Clock) -> Result<BenchRow, Str
     Ok(row)
 }
 
+/// Whether the counting allocator is the global allocator.
+fn counting_active() -> bool {
+    let before = alloc_counts();
+    black_box(Box::new(0x5EEDu64));
+    alloc_counts().since(before).calls > 0
+}
+
 /// Steps a warmed-up quiet controller one tick at a time and counts
 /// allocator traffic per tick. With the counting allocator registered
 /// (the `reproduce` binary does), steady-state quiet ticks are
 /// allocation-free except at MD batch-flush boundaries; without it
 /// the row reports `counting_active = false` and zeros.
 fn alloc_row(cfg: &BenchConfig) -> Result<BenchRow, String> {
-    // Probe whether the counting allocator is the global allocator.
-    let before = alloc_counts();
-    black_box(Box::new(0x5EEDu64));
-    let counting_active = alloc_counts().since(before).calls > 0;
-
+    let counting_active = counting_active();
     let re = trained_re(cfg.seed);
     let inputs = busy_inputs(cfg.alloc_ticks + 1_000);
     let kma = Kma::new(&inputs);
@@ -852,6 +848,50 @@ fn alloc_row(cfg: &BenchConfig) -> Result<BenchRow, String> {
     Ok(row)
 }
 
+/// Feeds the `engine` workload through `ingest_bytes` one frame per
+/// call, as `fadewichd serve` delivers them, and counts allocator
+/// traffic per frame and per tick: the ingest-path probe next to
+/// `controller_tick_allocs`. The whole day is counted — profile init,
+/// Algorithm-1 flushes and the burst's RE classifications included.
+/// Like that row it needs the counting allocator, and reports
+/// `counting_active = false` and zeros without it.
+fn ingest_alloc_row(cfg: &BenchConfig) -> Result<BenchRow, String> {
+    let counting_active = counting_active();
+    let re = trained_re(cfg.seed);
+    let inputs = busy_inputs(cfg.engine_ticks);
+    let groups = engine_groups();
+    let frames = engine_frames(cfg, &groups);
+    let engine_cfg = EngineConfig::new(TICK_HZ, bench_params());
+    let mut engine = StreamingEngine::new(engine_cfg, groups, &re, Kma::new(&inputs))
+        .map_err(|e| format!("bench engine: {e}"))?;
+    let mut zero_frames = 0u64;
+    let before = alloc_counts();
+    for bytes in &frames {
+        let t0 = alloc_counts();
+        engine.ingest_bytes(bytes);
+        if alloc_counts().since(t0).calls == 0 {
+            zero_frames += 1;
+        }
+    }
+    let delta = alloc_counts().since(before);
+    engine.finish(cfg.engine_ticks);
+    let n_frames = frames.len() as u64;
+    let mut row = BenchRow::new("engine_ingest_allocs");
+    row.push("counting_active", FieldValue::Bool(counting_active));
+    row.push("frames", FieldValue::U64(n_frames));
+    row.push("ticks", FieldValue::U64(cfg.engine_ticks));
+    row.push("zero_alloc_frames", FieldValue::U64(zero_frames));
+    row.push("alloc_calls", FieldValue::U64(delta.calls));
+    row.push("alloc_bytes", FieldValue::U64(delta.bytes));
+    row.push("alloc_calls_per_frame", FieldValue::F64(delta.calls as f64 / n_frames as f64));
+    row.push(
+        "alloc_calls_per_tick",
+        FieldValue::F64(delta.calls as f64 / cfg.engine_ticks as f64),
+    );
+    row.push("action_digest", FieldValue::U64(action_digest(engine.actions())));
+    Ok(row)
+}
+
 /// Runs every workload and assembles the report. Purely seed- and
 /// clock-driven: a manual clock yields a fully deterministic report,
 /// a wall clock yields deterministic non-`wall_` fields.
@@ -873,6 +913,7 @@ pub fn run(cfg: &BenchConfig, clock: &Arc<dyn Clock>) -> Result<BenchReport, Str
     rows.push(kde_fit_row(cfg, clock)?);
     rows.push(fleet_demux_row(cfg, clock)?);
     rows.push(alloc_row(cfg)?);
+    rows.push(ingest_alloc_row(cfg)?);
     Ok(BenchReport { seed: cfg.seed, smoke: cfg.smoke, rows })
 }
 

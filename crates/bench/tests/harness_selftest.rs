@@ -122,6 +122,7 @@ fn manual_clock_report_is_fully_deterministic_and_parses() {
         "kde_fit",
         "fleet_demux",
         "controller_tick_allocs",
+        "engine_ingest_allocs",
     ];
     let names: Vec<_> = rows
         .iter()
@@ -159,6 +160,20 @@ fn manual_clock_report_is_fully_deterministic_and_parses() {
         .unwrap();
     assert!(engine.get("action_digest").and_then(Json::as_num).is_some());
     assert_eq!(engine.get("action_digest"), fleet.get("action_digest"));
+    // The ingest probe feeds the engine workload one frame per call and
+    // must reach the same decisions as the one-blob `engine` row.
+    let ingest = a.row("engine_ingest_allocs").unwrap();
+    assert_eq!(ingest.get("frames"), Some(&FieldValue::U64(2 * cfg.engine_ticks)));
+    assert_eq!(ingest.get("ticks"), Some(&FieldValue::U64(cfg.engine_ticks)));
+    for field in ["counting_active", "zero_alloc_frames", "alloc_calls_per_frame"] {
+        assert!(ingest.get(field).is_some(), "engine_ingest_allocs lacks {field}");
+    }
+    assert!(matches!(ingest.get("alloc_calls_per_tick"), Some(FieldValue::F64(_))));
+    assert_eq!(
+        ingest.get("action_digest"),
+        a.row("engine").unwrap().get("action_digest"),
+        "per-frame ingest diverged from the one-blob engine row"
+    );
     let kde = a.row("kde_fit").unwrap();
     match (kde.get("threshold"), kde.get("threshold_bits")) {
         (Some(FieldValue::F64(t)), Some(FieldValue::U64(bits))) => assert_eq!(t.to_bits(), *bits),

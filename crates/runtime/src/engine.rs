@@ -20,6 +20,16 @@
 //! batch pipeline exactly — the parity test in `tests/parity.rs` holds
 //! the two byte-identical.
 //!
+//! The ingest path copies each sample once. [`StreamingEngine::ingest_bytes`]
+//! decodes a zero-copy [`FrameView`] with [`Frame::decode_borrowed`],
+//! and after the auth gate its samples go straight from the wire bytes
+//! into the reorder buffer's flat slot for the tick; no per-frame
+//! `Vec` is built. Closed ticks are popped one at a time and the row is
+//! assembled from the slot in place. The trusted
+//! [`StreamingEngine::ingest_frame`] funnels into the same core. Past
+//! warm-up a tick's only heap traffic is its slot (three allocation
+//! calls), as `tests/alloc_ingest.rs` pins.
+//!
 //! The engine has two **authentication modes**. By default it runs
 //! legacy-unauthenticated: v1–v3 frames are accepted exactly as every
 //! pre-auth deployment did (byte-identical decisions and stdout), and
@@ -56,7 +66,7 @@ use fadewich_telemetry::{Clock, Telemetry, Value, WallClock};
 
 use crate::checkpoint::EngineSnapshot;
 use crate::counters::RuntimeCounters;
-use crate::reorder::{PushOutcome, ReorderBuffer, ReorderConfig, SenderEvent};
+use crate::reorder::{ClosedTick, PushOutcome, ReorderBuffer, ReorderConfig, SenderEvent};
 use crate::wire::{Frame, FrameView, WireError};
 
 /// Streaming-engine knobs on top of the core pipeline parameters.
@@ -521,10 +531,11 @@ impl<'a> StreamingEngine<'a> {
             match decoded {
                 Ok((view, used)) => {
                     self.counters.bytes_in -= (bytes.len() - used) as u64;
-                    let frame = self.authenticate(&view).then(|| view.to_frame());
                     bytes = &bytes[used..];
-                    if let Some(frame) = frame {
-                        self.ingest_frame_inner(frame);
+                    if self.authenticate(&view) {
+                        let (channel, sensor, seq, tick) =
+                            (view.channel, view.sensor, view.seq, view.tick);
+                        self.ingest(channel, sensor, seq, tick, view.len(), view.values());
                     }
                 }
                 Err(WireError::BadChecksum { .. }) => {
@@ -546,7 +557,8 @@ impl<'a> StreamingEngine<'a> {
     /// untrusted wire input must come through
     /// [`StreamingEngine::ingest_bytes`].
     pub fn ingest_frame(&mut self, frame: Frame) {
-        self.ingest_frame_inner(frame);
+        let n_values = frame.values.len();
+        self.ingest(frame.channel, frame.sensor, frame.seq, frame.tick, n_values, frame.values);
         self.flush_batch();
     }
 
@@ -618,35 +630,49 @@ impl<'a> StreamingEngine<'a> {
         self.auth_state[sender] = st;
     }
 
-    fn ingest_frame_inner(&mut self, frame: Frame) {
+    /// The one ingest core behind both entry points: validates the
+    /// claimed sender and width, copies the samples into the reorder
+    /// buffer's slot for `tick` and processes every tick that closes.
+    fn ingest(
+        &mut self,
+        channel: ChannelKind,
+        sensor: u16,
+        seq: u32,
+        tick: u64,
+        n_values: usize,
+        samples: impl IntoIterator<Item = f32>,
+    ) {
         // Sensor ids are namespaced per channel kind, so the lookup
         // keys on the (kind, sensor) pair.
-        let Some(sender) = self
-            .groups
-            .iter()
-            .position(|g| g.sensor == frame.sensor && g.kind == frame.channel)
+        let Some(sender) =
+            self.groups.iter().position(|g| g.sensor == sensor && g.kind == channel)
         else {
             self.counters.corrupt_unknown_sensor += 1;
             return;
         };
-        if frame.values.len() != self.groups[sender].positions.len() {
+        if n_values != self.groups[sender].positions.len() {
             self.counters.corrupt_unknown_sensor += 1;
             return;
         }
         self.counters.frames_in += 1;
-        self.counters.channel_mut(frame.channel).frames_in += 1;
-        let (channel, sensor, tick) = (frame.channel, frame.sensor, frame.tick);
-        let outcome = self.reorder.push(sender, frame.seq, frame.tick, frame.values);
+        self.counters.channel_mut(channel).frames_in += 1;
+        let outcome = self.reorder.push_samples(sender, seq, tick, samples);
         if outcome == PushOutcome::Replayed {
             // A byte-exact capture passes the MAC, so replay is the
             // anti-replay window's catch: charge it to the sensor's
             // reject budget like any other auth rejection.
             self.auth_reject(channel, sensor, tick);
         }
-        let bundles = self.reorder.poll();
+        self.process_closed();
+    }
+
+    /// Polls the reorder buffer: its liveness events enter the log
+    /// first, then each closed tick is processed straight from its slot.
+    fn process_closed(&mut self) {
+        self.reorder.begin_poll();
         self.absorb_reorder_events();
-        for b in bundles {
-            self.process_tick(b.tick, &b.reports);
+        while let Some(closed) = self.reorder.pop_closed() {
+            self.process_tick(&closed);
         }
     }
 
@@ -655,15 +681,15 @@ impl<'a> StreamingEngine<'a> {
     /// any fully-lost tail ticks so tick indexing matches the batch
     /// run.
     pub fn finish(&mut self, expected_ticks: u64) {
-        let bundles = self.reorder.flush();
-        self.absorb_reorder_events();
-        for b in bundles {
-            self.process_tick(b.tick, &b.reports);
+        self.process_closed();
+        if let Some(last) = self.reorder.flush_horizon() {
+            while let Some(closed) = self.reorder.pop_through(last) {
+                self.process_tick(&closed);
+            }
         }
-        let empty: Vec<Option<Vec<f32>>> = vec![None; self.groups.len()];
         while self.ticks_ingested() < expected_ticks {
             let tick = self.ticks_ingested();
-            self.process_tick(tick, &empty);
+            self.process_tick(&ClosedTick::missing(tick));
         }
         self.flush_batch();
     }
@@ -713,10 +739,11 @@ impl<'a> StreamingEngine<'a> {
         }
     }
 
-    fn process_tick(&mut self, tick: u64, reports: &[Option<Vec<f32>>]) {
+    fn process_tick(&mut self, closed: &ClosedTick) {
+        let tick = closed.tick;
         let mut any_masked = false;
         for (sender, g) in self.groups.iter().enumerate() {
-            match &reports[sender] {
+            match closed.report(sender) {
                 Some(values) => {
                     for (&pos, &v) in g.positions.iter().zip(values) {
                         self.row[pos] = v as f64;

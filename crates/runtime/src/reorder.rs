@@ -35,6 +35,29 @@
 //! sender. Like the per-sender quarantine deadline, the arm/disarm
 //! flag is configuration (the engine reapplies it on restore); the
 //! bitmaps themselves are state and checkpoint with the buffer.
+//!
+//! # Slots and polling
+//!
+//! Each pending tick is one boxed slot: a single `Vec<f32>` payload
+//! holding every delivered sender's samples, plus a per-sender
+//! `(start, len)` span into it. A tick therefore costs three heap
+//! allocations however many senders report (the box, the spans and the
+//! payload, which is pre-sized from the largest slot seen so far), and
+//! the map's value stays one pointer wide. Inside the crate, a poll is
+//! `begin_poll` followed by `pop_closed` until it returns `None`; each
+//! `ClosedTick` hands its slot to the engine, which reads the samples
+//! in place. [`ReorderBuffer::push`], [`ReorderBuffer::poll`] and
+//! [`ReorderBuffer::flush`] are thin adapters over the same core that
+//! copy slots into owned [`TickBundle`]s.
+//!
+//! Polling is O(1) while nothing changes. The global frontier is cached
+//! (advanced in `push`, recomputed on restore), a slot whose senders
+//! have all delivered closes without the per-sender scan, and the
+//! quarantine scan re-runs only after something that could trip a
+//! deadline: the global frontier advanced, a sender recovered, or a
+//! deadline changed. The recovery trigger matters: a sender that
+//! recovers while still lagging past its deadline is quarantined again
+//! by the very next poll.
 
 use std::collections::BTreeMap;
 
@@ -131,16 +154,100 @@ pub struct ReorderState {
     pub pending: Vec<(u64, Vec<Option<Vec<f32>>>)>,
 }
 
+/// One pending tick: every delivered sender's samples packed into one
+/// payload, with a per-sender span into it. Boxed in the pending map so
+/// the map's values stay one pointer wide.
+#[derive(Debug, Clone)]
+struct Slot {
+    /// Samples of the delivered senders, in arrival order.
+    values: Vec<f32>,
+    /// Per-sender `(start, len)` into `values`; `None` until delivered.
+    spans: Vec<Option<(u32, u32)>>,
+    /// Number of senders delivered so far.
+    delivered: usize,
+}
+
+impl Slot {
+    fn new(n_senders: usize, capacity: usize) -> Slot {
+        Slot { values: Vec::with_capacity(capacity), spans: vec![None; n_senders], delivered: 0 }
+    }
+
+    /// Stores `sender`'s samples; the caller has checked that it has
+    /// not delivered yet.
+    fn fill(&mut self, sender: usize, samples: impl IntoIterator<Item = f32>) {
+        let start = self.values.len();
+        self.values.extend(samples);
+        let end = self.values.len();
+        assert!(end <= u32::MAX as usize, "slot payload exceeds u32::MAX samples");
+        self.spans[sender] = Some((start as u32, (end - start) as u32));
+        self.delivered += 1;
+    }
+
+    fn report(&self, sender: usize) -> Option<&[f32]> {
+        let (start, len) = self.spans[sender]?;
+        Some(&self.values[start as usize..start as usize + len as usize])
+    }
+
+    /// The checkpoint form: one owned payload per sender.
+    fn reports(&self) -> Vec<Option<Vec<f32>>> {
+        (0..self.spans.len()).map(|s| self.report(s).map(<[f32]>::to_vec)).collect()
+    }
+}
+
+/// A tick the watermark has closed, popped with its slot. The caller
+/// reads each sender's samples in place; dropping it frees the slot.
+#[derive(Debug)]
+pub(crate) struct ClosedTick {
+    /// The tick that closed.
+    pub tick: u64,
+    /// `None` when no sender delivered anything for the tick.
+    slot: Option<Box<Slot>>,
+}
+
+impl ClosedTick {
+    /// A closed tick no sender reported (end-of-stream padding).
+    pub(crate) fn missing(tick: u64) -> ClosedTick {
+        ClosedTick { tick, slot: None }
+    }
+
+    /// `sender`'s samples, or `None` where its frame never arrived.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sender` is out of range for a tick that has a slot.
+    pub(crate) fn report(&self, sender: usize) -> Option<&[f32]> {
+        self.slot.as_ref()?.report(sender)
+    }
+
+    fn into_bundle(self, n_senders: usize) -> TickBundle {
+        let reports = match &self.slot {
+            Some(slot) => slot.reports(),
+            None => vec![None; n_senders],
+        };
+        TickBundle { tick: self.tick, reports }
+    }
+}
+
 /// The reorder buffer. See the module docs for the watermark rules.
 #[derive(Debug, Clone)]
 pub struct ReorderBuffer {
     cfg: ReorderConfig,
-    /// Buffered payloads per tick (sparse; only ticks ≥ `next_emit`).
-    pending: BTreeMap<u64, Vec<Option<Vec<f32>>>>,
+    /// Buffered slots per tick (sparse; only ticks ≥ `next_emit`).
+    pending: BTreeMap<u64, Box<Slot>>,
     /// Next tick to emit.
     next_emit: u64,
     /// Highest tick seen per sender (`None` before its first frame).
     frontier: Vec<Option<u64>>,
+    /// Highest tick seen from any sender: the running maximum of
+    /// `frontier`, cached so a poll need not scan it.
+    global: Option<u64>,
+    /// Whether the next poll must re-run the quarantine scan: set when
+    /// the global frontier advances, a sender recovers, or a deadline
+    /// changes. Nothing else can make a sender newly overdue.
+    rescan: bool,
+    /// Payload capacity of a new slot: the largest slot payload seen so
+    /// far, so a slot's payload is allocated once.
+    slot_capacity: usize,
     /// Highest sequence number seen per sender.
     max_seq: Vec<Option<u32>>,
     quarantined: Vec<bool>,
@@ -172,6 +279,9 @@ impl ReorderBuffer {
             pending: BTreeMap::new(),
             next_emit: 0,
             frontier: vec![None; cfg.n_senders],
+            global: None,
+            rescan: false,
+            slot_capacity: 0,
             max_seq: vec![None; cfg.n_senders],
             quarantined: vec![false; cfg.n_senders],
             thresholds: vec![cfg.quarantine_after_ticks; cfg.n_senders],
@@ -231,12 +341,29 @@ impl ReorderBuffer {
         }
     }
 
-    /// Offers one decoded frame.
+    /// Offers one decoded frame with an owned payload: an adapter over
+    /// the slot core the engine feeds from wire views.
     ///
     /// # Panics
     ///
     /// Panics if `sender` is out of range.
     pub fn push(&mut self, sender: usize, seq: u32, tick: u64, values: Vec<f32>) -> PushOutcome {
+        self.push_samples(sender, seq, tick, values)
+    }
+
+    /// Offers one decoded frame, copying its samples into the tick's
+    /// slot (allocated on the tick's first frame).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sender` is out of range.
+    pub(crate) fn push_samples(
+        &mut self,
+        sender: usize,
+        seq: u32,
+        tick: u64,
+        samples: impl IntoIterator<Item = f32>,
+    ) -> PushOutcome {
         assert!(sender < self.cfg.n_senders, "sender out of range");
         if self.anti_replay && self.is_replay(sender, seq) {
             // Rejected before frontier/quarantine updates: a replayed
@@ -249,47 +376,53 @@ impl ReorderBuffer {
             Some(m) if seq < m => self.reordered += 1,
             _ => self.max_seq[sender] = Some(seq.max(self.max_seq[sender].unwrap_or(0))),
         }
-        if self.frontier[sender].map_or(true, |f| tick > f) {
+        if self.frontier[sender].is_none_or(|f| tick > f) {
             self.frontier[sender] = Some(tick);
+            if self.global.is_none_or(|g| tick > g) {
+                self.global = Some(tick);
+                self.rescan = true;
+            }
         }
         if self.quarantined[sender] {
             self.quarantined[sender] = false;
+            self.rescan = true;
             self.events.push(SenderEvent::Recovered { sender, at_tick: tick });
         }
         if tick < self.next_emit {
             self.late += 1;
             return PushOutcome::Late;
         }
-        let slot = &mut self
-            .pending
-            .entry(tick)
-            .or_insert_with(|| vec![None; self.cfg.n_senders])[sender];
-        if slot.is_some() {
+        let (n_senders, capacity) = (self.cfg.n_senders, self.slot_capacity);
+        let slot =
+            self.pending.entry(tick).or_insert_with(|| Box::new(Slot::new(n_senders, capacity)));
+        if slot.spans[sender].is_some() {
             self.duplicates += 1;
             return PushOutcome::Duplicate;
         }
-        *slot = Some(values);
+        slot.fill(sender, samples);
+        self.slot_capacity = self.slot_capacity.max(slot.values.len());
         PushOutcome::Buffered
     }
 
     /// Highest tick seen from any sender.
     pub fn global_frontier(&self) -> Option<u64> {
-        self.frontier.iter().flatten().copied().max()
+        self.global
     }
 
     /// Ticks between the global frontier and the next emission — how
     /// far reassembly trails ingestion right now.
     pub fn watermark_lag(&self) -> u64 {
-        self.global_frontier().map_or(0, |g| (g + 1).saturating_sub(self.next_emit))
+        self.global.map_or(0, |g| g.saturating_add(1).saturating_sub(self.next_emit))
     }
 
-    /// Largest watermark lag ever observed by [`ReorderBuffer::poll`].
+    /// Largest watermark lag ever observed by a poll.
     pub fn max_watermark_lag(&self) -> u64 {
         self.max_lag
     }
 
     fn refresh_quarantine(&mut self) {
-        let Some(global) = self.global_frontier() else { return };
+        let Some(global) = self.global else { return };
+        self.rescan = false;
         for sender in 0..self.cfg.n_senders {
             if self.quarantined[sender] {
                 continue;
@@ -297,7 +430,7 @@ impl ReorderBuffer {
             let lag = match self.frontier[sender] {
                 Some(f) => global.saturating_sub(f),
                 // Never heard from: lag measured from the stream start.
-                None => global + 1,
+                None => global.saturating_add(1),
             };
             if lag > self.thresholds[sender] {
                 self.quarantined[sender] = true;
@@ -326,6 +459,7 @@ impl ReorderBuffer {
     /// Panics if `sender` is out of range.
     pub fn set_sender_quarantine(&mut self, sender: usize, ticks: u64) {
         self.thresholds[sender] = ticks;
+        self.rescan = true;
     }
 
     /// The quarantine deadline currently applied to `sender`.
@@ -353,27 +487,62 @@ impl ReorderBuffer {
     }
 
     fn closeable(&self, tick: u64) -> bool {
-        let bundle = self.pending.get(&tick);
+        let slot = self.pending.get(&tick);
+        if slot.is_some_and(|s| s.delivered == self.cfg.n_senders) {
+            return true;
+        }
+        let horizon = tick.saturating_add(self.cfg.jitter_ticks);
         (0..self.cfg.n_senders).all(|s| {
             self.quarantined[s]
-                || bundle.is_some_and(|b| b[s].is_some())
-                || self.frontier[s].is_some_and(|f| f >= tick + self.cfg.jitter_ticks)
+                || slot.is_some_and(|b| b.spans[s].is_some())
+                || self.frontier[s].is_some_and(|f| f >= horizon)
         })
     }
 
-    /// Emits every tick the watermark has closed, in order.
-    pub fn poll(&mut self) -> Vec<TickBundle> {
-        self.refresh_quarantine();
+    /// Starts a poll: quarantines senders past their deadline and
+    /// samples the watermark lag. Follow with `pop_closed` until it
+    /// returns `None`; the liveness events this records come before any
+    /// of those ticks.
+    pub(crate) fn begin_poll(&mut self) {
+        if self.rescan {
+            self.refresh_quarantine();
+        }
         self.max_lag = self.max_lag.max(self.watermark_lag());
+    }
+
+    /// Pops the next tick if the watermark has closed it.
+    pub(crate) fn pop_closed(&mut self) -> Option<ClosedTick> {
+        let global = self.global?;
+        (self.next_emit <= global && self.closeable(self.next_emit)).then(|| self.pop_front())
+    }
+
+    /// The last tick [`ReorderBuffer::flush`] emits once the watermark
+    /// has closed what it can: the newest buffered tick, or the global
+    /// frontier when nothing is buffered.
+    pub(crate) fn flush_horizon(&self) -> Option<u64> {
+        self.pending.keys().next_back().copied().or(self.global)
+    }
+
+    /// Pops the next tick, closed or not, while it is at most `last`
+    /// (end of stream; see `flush_horizon`).
+    pub(crate) fn pop_through(&mut self, last: u64) -> Option<ClosedTick> {
+        (self.next_emit <= last).then(|| self.pop_front())
+    }
+
+    fn pop_front(&mut self) -> ClosedTick {
+        let tick = self.next_emit;
+        let slot = self.pending.remove(&tick);
+        self.next_emit += 1;
+        ClosedTick { tick, slot }
+    }
+
+    /// Emits every tick the watermark has closed, in order: an adapter
+    /// over `begin_poll` and `pop_closed`.
+    pub fn poll(&mut self) -> Vec<TickBundle> {
+        self.begin_poll();
         let mut out = Vec::new();
-        let Some(global) = self.global_frontier() else { return out };
-        while self.next_emit <= global && self.closeable(self.next_emit) {
-            let reports = self
-                .pending
-                .remove(&self.next_emit)
-                .unwrap_or_else(|| vec![None; self.cfg.n_senders]);
-            out.push(TickBundle { tick: self.next_emit, reports });
-            self.next_emit += 1;
+        while let Some(closed) = self.pop_closed() {
+            out.push(closed.into_bundle(self.cfg.n_senders));
         }
         out
     }
@@ -395,7 +564,7 @@ impl ReorderBuffer {
             replayed: self.replayed,
             replay_seen: self.replay_seen.clone(),
             max_lag: self.max_lag,
-            pending: self.pending.iter().map(|(&t, b)| (t, b.clone())).collect(),
+            pending: self.pending.iter().map(|(&t, slot)| (t, slot.reports())).collect(),
         }
     }
 
@@ -427,6 +596,7 @@ impl ReorderBuffer {
             }
         }
         let mut pending = BTreeMap::new();
+        let mut slot_capacity = 0;
         let mut prev: Option<u64> = None;
         for (tick, reports) in &state.pending {
             if prev.is_some_and(|p| *tick <= p) {
@@ -446,12 +616,23 @@ impl ReorderBuffer {
                     cfg.n_senders
                 ));
             }
-            pending.insert(*tick, reports.clone());
+            let width = reports.iter().flatten().map(Vec::len).sum();
+            let mut slot = Slot::new(cfg.n_senders, width);
+            for (sender, values) in reports.iter().enumerate() {
+                if let Some(values) = values {
+                    slot.fill(sender, values.iter().copied());
+                }
+            }
+            slot_capacity = slot_capacity.max(width);
+            pending.insert(*tick, Box::new(slot));
         }
         Ok(ReorderBuffer {
             pending,
             next_emit: state.next_emit,
             frontier: state.frontier.clone(),
+            global: state.frontier.iter().flatten().copied().max(),
+            rescan: true,
+            slot_capacity,
             max_seq: state.max_seq.clone(),
             quarantined: state.quarantined.clone(),
             thresholds: vec![cfg.quarantine_after_ticks; cfg.n_senders],
@@ -471,17 +652,10 @@ impl ReorderBuffer {
     /// `None` for frames that never arrived.
     pub fn flush(&mut self) -> Vec<TickBundle> {
         let mut out = self.poll();
-        let Some(last) = self.pending.keys().next_back().copied().or(self.global_frontier())
-        else {
-            return out;
-        };
-        while self.next_emit <= last {
-            let reports = self
-                .pending
-                .remove(&self.next_emit)
-                .unwrap_or_else(|| vec![None; self.cfg.n_senders]);
-            out.push(TickBundle { tick: self.next_emit, reports });
-            self.next_emit += 1;
+        if let Some(last) = self.flush_horizon() {
+            while let Some(closed) = self.pop_through(last) {
+                out.push(closed.into_bundle(self.cfg.n_senders));
+            }
         }
         out
     }
@@ -605,6 +779,71 @@ mod tests {
         assert_eq!(out[4].reports[1], Some(payload(2.0)));
         // Idempotent once drained.
         assert!(rb.flush().is_empty());
+    }
+
+    #[test]
+    fn frontier_arithmetic_saturates_at_the_last_tick() {
+        // A frame-supplied tick is untrusted: the largest one must not
+        // overflow the watermark arithmetic.
+        let mut rb = ReorderBuffer::new(cfg(2, 3));
+        assert_eq!(rb.push(0, 0, u64::MAX, payload(1.0)), PushOutcome::Buffered);
+        assert_eq!(rb.global_frontier(), Some(u64::MAX));
+        assert_eq!(rb.watermark_lag(), u64::MAX);
+    }
+
+    #[test]
+    fn a_recovered_sender_still_lagging_is_quarantined_again() {
+        // Sender 1 goes quiet, is quarantined, then delivers one stale
+        // frame: that recovers it, but it still lags past its deadline
+        // with the global frontier unmoved, so the next poll must trip
+        // it again.
+        let c = ReorderConfig { n_senders: 2, jitter_ticks: 0, quarantine_after_ticks: 3 };
+        let mut rb = ReorderBuffer::new(c);
+        for t in 0..8u64 {
+            rb.push(0, t as u32, t, payload(1.0));
+        }
+        rb.poll();
+        assert_eq!(rb.take_events(), vec![SenderEvent::Quarantined { sender: 1, at_tick: 7 }]);
+        assert_eq!(rb.push(1, 0, 2, payload(2.0)), PushOutcome::Late);
+        assert!(!rb.is_quarantined(1));
+        rb.poll();
+        assert!(rb.is_quarantined(1), "recovered-but-lagging sender must re-quarantine");
+        assert_eq!(
+            rb.take_events(),
+            vec![
+                SenderEvent::Recovered { sender: 1, at_tick: 2 },
+                SenderEvent::Quarantined { sender: 1, at_tick: 7 },
+            ]
+        );
+        // A deadline change alone also re-arms the scan.
+        let mut rb = ReorderBuffer::new(c);
+        rb.set_sender_quarantine(1, 100);
+        for t in 0..8u64 {
+            rb.push(0, t as u32, t, payload(1.0));
+        }
+        rb.poll();
+        assert!(!rb.is_quarantined(1));
+        rb.set_sender_quarantine(1, 2);
+        rb.poll();
+        assert!(rb.is_quarantined(1), "tightened deadline must apply without a new frame");
+    }
+
+    #[test]
+    fn closed_ticks_read_each_senders_samples_in_place() {
+        let mut rb = ReorderBuffer::new(cfg(3, 0));
+        rb.push_samples(2, 0, 0, [7.0, 8.0]);
+        rb.push_samples(0, 0, 0, [1.0]);
+        rb.begin_poll();
+        assert!(rb.pop_closed().is_none(), "sender 1 has not reported");
+        rb.push_samples(1, 0, 0, []);
+        rb.begin_poll();
+        let closed = rb.pop_closed().expect("every sender delivered");
+        assert_eq!(closed.tick, 0);
+        assert_eq!(closed.report(0), Some(&[1.0][..]));
+        assert_eq!(closed.report(1), Some(&[][..]));
+        assert_eq!(closed.report(2), Some(&[7.0, 8.0][..]));
+        assert!(rb.pop_closed().is_none());
+        assert_eq!(ClosedTick::missing(5).report(0), None);
     }
 
     #[test]

@@ -85,12 +85,14 @@
 //! fabricate a frame that passes CRC (it is not a secret), but not one
 //! that verifies (see [`FrameView::verify_mac`]).
 //!
-//! [`Frame::decode_borrowed`] is the zero-copy variant for the fleet
-//! demux hot path: it validates exactly like [`Frame::decode`] but
-//! returns a [`FrameView`] whose payload is a slice into the input
-//! buffer, so routing a frame by office id allocates nothing.
-//! Decoding checks framing and CRC only — MAC verification is a
-//! separate, keyed step the engine performs per its auth mode.
+//! [`Frame::decode_borrowed`] is the zero-copy variant both hot paths
+//! use: it validates exactly like [`Frame::decode`] but returns a
+//! [`FrameView`] whose payload is a slice into the input buffer. The
+//! fleet demux routes a frame by office id without allocating, and the
+//! engine copies the view's samples straight into its reorder slot;
+//! [`FrameView::to_frame`] remains for callers that want an owned
+//! [`Frame`]. Decoding checks framing and CRC only — MAC verification
+//! is a separate, keyed step the engine performs per its auth mode.
 
 use fadewich_core::auth::AuthKey;
 use fadewich_core::stream::ChannelKind;

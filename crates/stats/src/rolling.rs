@@ -603,8 +603,13 @@ impl HistoryBuffer {
     /// Appends a sample.
     pub fn push(&mut self, x: f64) {
         self.buf[self.head] = x;
-        self.head = (self.head + 1) % self.capacity;
-        self.len = (self.len + 1).min(self.capacity);
+        self.head += 1;
+        if self.head == self.capacity {
+            self.head = 0;
+        }
+        if self.len < self.capacity {
+            self.len += 1;
+        }
         self.total += 1;
     }
 

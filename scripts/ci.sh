@@ -124,7 +124,7 @@ grep -q '"matches_owned": true' "$workdir/bench1.json"
 for name in engine wire_decode wire_decode_borrowed mac_verify \
     md_step_reference md_step_fast \
     svm_predict_scalar svm_predict_batch kde_fit fleet_demux \
-    controller_tick_allocs; do
+    controller_tick_allocs engine_ingest_allocs; do
     grep -q "\"name\": \"$name\"" "$workdir/bench1.json"
 done
 grep -v '"wall_' "$workdir/bench1.json" > "$workdir/bench1.nowall"
@@ -137,7 +137,7 @@ cmp "$workdir/bench1.nowall" "$workdir/bench2.nowall"
 # full-size workload fields legitimately differ from a smoke run's,
 # so that leg only checks no benchmark row silently disappeared.
 scripts/bench_diff.sh "$workdir/bench1.json" "$workdir/bench2.json"
-scripts/bench_diff.sh --rows-only BENCH_2026-10-16.json "$workdir/bench1.json"
+scripts/bench_diff.sh --rows-only BENCH_2026-10-17.json "$workdir/bench1.json"
 
 # Span-profile gate: `reproduce profile` folds tick-stamped spans, so
 # the whole report is logical-time only and must be byte-identical
