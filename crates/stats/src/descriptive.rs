@@ -62,30 +62,10 @@ pub fn max(xs: &[f64]) -> Option<f64> {
 ///
 /// Panics if `xs` is empty or `p` is outside `[0, 100]`.
 pub fn percentile(xs: &[f64], p: f64) -> f64 {
-    percentile_of_sorted(&sorted(xs), p)
-}
-
-/// An ascending-sorted copy of `xs`, ordered exactly as [`percentile`]
-/// orders it.
-///
-/// # Panics
-///
-/// Panics if `xs` contains a NaN.
-pub(crate) fn sorted(xs: &[f64]) -> Vec<f64> {
+    assert!(!xs.is_empty(), "percentile of empty slice");
+    assert!((0.0..=100.0).contains(&p), "percentile {p} out of range");
     let mut sorted: Vec<f64> = xs.to_vec();
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in percentile input"));
-    sorted
-}
-
-/// [`percentile`] of a slice returned by [`sorted`], so several
-/// percentiles of one sample can share a single sort.
-///
-/// # Panics
-///
-/// Panics if `sorted` is empty or `p` is outside `[0, 100]`.
-pub(crate) fn percentile_of_sorted(sorted: &[f64], p: f64) -> f64 {
-    assert!(!sorted.is_empty(), "percentile of empty slice");
-    assert!((0.0..=100.0).contains(&p), "percentile {p} out of range");
     let rank = p / 100.0 * (sorted.len() - 1) as f64;
     let lo = rank.floor() as usize;
     let hi = rank.ceil() as usize;

@@ -1,11 +1,13 @@
 //! Bit identity of the Algorithm-1 refit (`GaussianKde::fit` +
 //! `quantile`) against the arithmetic it replaced.
 //!
-//! The production KDE skips saturated erf terms, stops bisecting at a
-//! fixed point and reads both Silverman quartiles off one sort. Each
-//! shortcut is exact, so every threshold, CDF value and bandwidth must
-//! carry the same IEEE-754 bits as the unoptimized [`oracle`]: every
-//! term through the A&S erf, 80 bisection steps, one sort per quartile.
+//! The production KDE skips saturated erf terms, decides most bisection
+//! comparisons by a certificate instead of evaluating the CDF, stops
+//! bisecting at a fixed point and selects both Silverman quartiles
+//! instead of sorting. Each shortcut is exact, so every threshold, CDF
+//! value and bandwidth must carry the same IEEE-754 bits as the
+//! unoptimized [`oracle`]: every term through the A&S erf, 80 evaluated
+//! bisection steps, one sort per quartile.
 
 use fadewich_stats::descriptive;
 use fadewich_stats::kde::GaussianKde;
@@ -87,6 +89,9 @@ mod oracle {
 /// The threshold levels Algorithm 1 and the experiments use.
 const LEVELS: [f64; 5] = [0.01, 0.5, 0.95, 0.99, 0.995];
 
+/// Levels at the edges of `(0, 1)`, whose roots lie in the far tails.
+const EDGE_LEVELS: [f64; 2] = [1e-6, 1.0 - 1e-6];
+
 /// Asserts bandwidth, quantile and CDF bit identity for one sample.
 fn assert_identical(label: &str, data: &[f64]) {
     let kde = GaussianKde::fit(data).expect("finite, non-empty sample");
@@ -98,7 +103,7 @@ fn assert_identical(label: &str, data: &[f64]) {
 fn assert_kde_identical(label: &str, kde: &GaussianKde, data: &[f64]) {
     let h = kde.bandwidth();
     let mut probes = Vec::new();
-    for q in LEVELS {
+    for &q in LEVELS.iter().chain(&EDGE_LEVELS) {
         let got = kde.quantile(q);
         let want = oracle::quantile(data, h, q);
         assert_eq!(got.to_bits(), want.to_bits(), "{label}: quantile({q}) {got} vs {want}");
@@ -196,6 +201,30 @@ fn degenerate_samples_match_the_oracle() {
     assert_identical("n = 3", &[0.1, 0.1, 7.0]);
     assert_identical("n = 4, tied quartiles", &[1.0, 1.0, 1.0, 9.0]);
     assert_identical("two clusters", &[0.0, 0.0, 0.0, 1e4, 1e4, 1e4]);
+    let mut rng = Rng::seed_from_u64(60);
+    for n in 1..=3 {
+        for scale in [1e-6, 1.0, 1e6] {
+            let data: Vec<f64> = (0..n).map(|_| scale * rng.normal_with(3.0, 1.0)).collect();
+            assert_identical(&format!("n {n}, scale {scale:e}"), &data);
+        }
+    }
+}
+
+#[test]
+fn signed_zeros_and_duplicates_match_the_oracle() {
+    // Selection may order −0.0 and +0.0 differently from the stable
+    // sort. Here the sort's IQR is −0.0 and selection's +0.0, while the
+    // standard deviation is positive: the bandwidth must not move.
+    assert_identical("±0 quartiles, sd > 0", &[0.0, 0.0, -0.0, -0.0, 5.0]);
+    assert_identical("±0 only", &[0.0, -0.0, 0.0, -0.0, -0.0, 0.0]);
+    let mut rng = Rng::seed_from_u64(50);
+    for n in [4, 5, 17, 100, 1_500] {
+        let zeros: Vec<f64> = (0..n).map(|_| if rng.bernoulli(0.5) { 0.0 } else { -0.0 }).collect();
+        assert_identical(&format!("±0, n {n}"), &zeros);
+        let values = [-0.0, 0.0, 0.5, 0.5, 0.5, 2.0, 7.25];
+        let dups: Vec<f64> = (0..n).map(|_| values[rng.below(values.len())]).collect();
+        assert_identical(&format!("heavy duplicates, n {n}"), &dups);
+    }
 }
 
 #[test]
@@ -215,7 +244,9 @@ fn paper_scale_profiles_match_the_oracle() {
 #[test]
 fn explicit_bandwidths_match_the_oracle() {
     // Includes bandwidths whose saturation offset is subnormal (no
-    // skip may fire) or overflows to infinity.
+    // skip may fire) or overflows to infinity, and bandwidths where the
+    // certificate must fall back: a staircase CDF at 1e-300, an
+    // overflowing bracket at f64::MAX.
     let data = normal(40, 300, 1.0, 1.0);
     for h in [5e-324, 1e-310, 1e-300, 1e-9, 0.37, 1e3, 1e300, f64::MAX] {
         let kde = GaussianKde::fit_with_bandwidth(&data, h).unwrap();
@@ -230,7 +261,7 @@ fadewich_testkit::property! {
     fn random_samples_match_the_oracle(
         data in vecs(f64s(-1e4..1e4), 1..120),
         scale in f64s(-6.0..6.0),
-        level in usizes(0..5),
+        level in usizes(0..LEVELS.len()),
     ) {
         let scaled: Vec<f64> = data.iter().map(|x| x * 10f64.powf(scale)).collect();
         let kde = GaussianKde::fit(&scaled).unwrap();

@@ -2,9 +2,11 @@
 //!
 //! The workspace has no async runtime and no HTTP library, so this is
 //! a deliberately small hand-rolled server on `std::net::TcpListener`:
-//! one accept thread, one short-lived thread per connection, bounded
-//! request reads (oversized or slow requests are rejected, never
-//! buffered without limit), `Connection: close` on every response.
+//! one accept thread, one short-lived thread per connection (at most
+//! [`MAX_HANDLERS`] at once; the accept thread answers any connection
+//! past the cap with `503` itself), bounded request reads (oversized or
+//! slow requests are rejected, never buffered without limit),
+//! `Connection: close` on every response.
 //! It is the repo's first socket code — a stepping stone toward the
 //! ROADMAP's socket ingestion front.
 //!
@@ -28,8 +30,8 @@
 //! reproducible.
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -40,6 +42,11 @@ use crate::trace::Telemetry;
 /// Largest request (line + headers) the server will buffer before
 /// answering `431 Request Header Fields Too Large`.
 pub const MAX_REQUEST_BYTES: usize = 8 * 1024;
+
+/// Connection handler threads alive at once. A slow or idle peer pins
+/// its handler for up to the I/O timeout, so without a cap a slowloris
+/// client could pin unboundedly many threads.
+pub const MAX_HANDLERS: usize = 16;
 
 /// Per-connection socket timeout: a peer that stalls mid-request is
 /// dropped instead of pinning a handler thread.
@@ -52,7 +59,19 @@ struct Shared {
     start_ns: u64,
     scrapes: AtomicU64,
     rejected: AtomicU64,
+    /// Handler threads holding a [`HandlerSlot`].
+    handlers: AtomicUsize,
     shutdown: AtomicBool,
+}
+
+/// One of the [`MAX_HANDLERS`] slots, freed when the handler's closure
+/// is dropped: after it returns, if it unwinds, or if the spawn fails.
+struct HandlerSlot(Arc<Shared>);
+
+impl Drop for HandlerSlot {
+    fn drop(&mut self) {
+        self.0.handlers.fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
 /// A running scrape server. Dropping (or calling
@@ -89,6 +108,7 @@ impl OpsServer {
             clock,
             scrapes: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
+            handlers: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
         });
         let worker = Arc::clone(&shared);
@@ -100,12 +120,18 @@ impl OpsServer {
                         break;
                     }
                     let Ok(stream) = conn else { continue };
-                    let state = Arc::clone(&worker);
+                    if worker.handlers.fetch_add(1, Ordering::SeqCst) >= MAX_HANDLERS {
+                        worker.handlers.fetch_sub(1, Ordering::SeqCst);
+                        worker.rejected.fetch_add(1, Ordering::SeqCst);
+                        reject_busy(stream);
+                        continue;
+                    }
+                    let slot = HandlerSlot(Arc::clone(&worker));
                     // Short-lived per-connection handlers; a failed
-                    // spawn just drops the connection.
+                    // spawn just drops the connection (and the slot).
                     let _ = thread::Builder::new()
                         .name("fadewich-ops-conn".to_string())
-                        .spawn(move || handle_connection(stream, &state));
+                        .spawn(move || handle_connection(stream, &slot.0));
                 }
             })?;
         Ok(OpsServer { addr: local, shared, accept: Some(accept) })
@@ -202,6 +228,19 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
     let path = target.split('?').next().unwrap_or("");
     let (status, reason, ctype, body) = route(path, shared);
     respond(&mut stream, status, reason, ctype, &body);
+}
+
+/// Answers a connection past the handler cap with `503` without ever
+/// blocking the accept thread: the socket is non-blocking, so a peer
+/// that does not read just loses the response.
+fn reject_busy(mut stream: TcpStream) {
+    let _ = stream.set_nonblocking(true);
+    respond(&mut stream, 503, "Service Unavailable", "text/plain", "busy\n");
+    let _ = stream.shutdown(Shutdown::Write);
+    // Drain what the peer already sent, so closing does not reset the
+    // connection ahead of the 503.
+    let mut sink = [0u8; 1024];
+    while matches!(stream.read(&mut sink), Ok(n) if n > 0) {}
 }
 
 /// Routes a GET to its body. Everything except `/healthz` and `/` is

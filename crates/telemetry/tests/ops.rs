@@ -8,7 +8,7 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-use fadewich_telemetry::serve::MAX_REQUEST_BYTES;
+use fadewich_telemetry::serve::{MAX_HANDLERS, MAX_REQUEST_BYTES};
 use fadewich_telemetry::{
     Histogram, ManualClock, OpsServer, SloEngine, SloKind, SloSpec, Telemetry, Value,
 };
@@ -120,6 +120,45 @@ fn concurrent_scrapes_all_complete() {
         assert!(resp.starts_with("HTTP/1.0 200 OK"), "{resp}");
     }
     assert!(server.scrapes() >= 8);
+    server.shutdown();
+}
+
+#[test]
+fn connections_past_the_handler_cap_get_503() {
+    let (_telemetry, server, _clock) = ops_fixture();
+    let addr = server.local_addr();
+    // Idle peers each pin a handler until they close (or time out). The
+    // accept thread takes connections in order, so these hold every slot.
+    let idle: Vec<TcpStream> =
+        (0..MAX_HANDLERS).map(|_| TcpStream::connect(addr).unwrap()).collect();
+    let mut extra = TcpStream::connect(addr).unwrap();
+    extra.set_read_timeout(Some(Duration::from_secs(1))).unwrap();
+    let mut resp = Vec::new();
+    let mut chunk = [0u8; 1024];
+    while let Ok(n @ 1..) = extra.read(&mut chunk) {
+        resp.extend_from_slice(&chunk[..n]);
+    }
+    let resp = String::from_utf8_lossy(&resp);
+    assert!(resp.starts_with("HTTP/1.0 503 Service Unavailable\r\n"), "{resp}");
+
+    // Once the idle peers close, their handlers exit and free the slots.
+    drop(idle);
+    let mut scrape = String::new();
+    for _ in 0..500 {
+        scrape = http_get(addr, "/metrics");
+        if !scrape.starts_with("HTTP/1.0 503") {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert!(scrape.starts_with("HTTP/1.0 200 OK"), "{scrape}");
+    let health = http_get(addr, "/healthz");
+    let rejected: u64 = body_of(&health)
+        .lines()
+        .find_map(|l| l.strip_prefix("wall_rejected "))
+        .and_then(|v| v.parse().ok())
+        .unwrap();
+    assert!(rejected >= 1, "{health}");
     server.shutdown();
 }
 

@@ -15,6 +15,13 @@ export RUSTFLAGS="-D warnings"
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 
+# Benchmark build gate: perfbench is a workspace of its own (see
+# BENCHMARK.json) that builds the serving system from these sources
+# through path dependencies, so a crate API change must keep it
+# compiling without warnings and its self-tests green.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 # Streaming runtime gates: the lossless replay must be byte-identical
 # to the batch pipeline, and a seeded lossy replay (2% drop, 3 ticks
 # of jitter, duplicates + corruption) must finish with the degradation
