@@ -205,7 +205,7 @@ pub enum FieldValue {
 /// One workload's results.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchRow {
-    /// Stable row name (`wire_decode`, `md_step_fast`, …).
+    /// Stable row name (`wire_decode`, `md_step`, …).
     pub name: String,
     /// Fields in emission order.
     pub fields: Vec<(String, FieldValue)>,
@@ -531,57 +531,23 @@ fn verdict_digest(digest: &mut u64, v: &MdVerdict) {
         .wrapping_add(u64::from(v.anomalous));
 }
 
-fn md_rows(cfg: &BenchConfig, clock: &dyn Clock) -> Result<Vec<BenchRow>, String> {
+fn md_step_row(cfg: &BenchConfig, clock: &dyn Clock) -> Result<BenchRow, String> {
     let rows_flat = seeded_rows(cfg.seed, cfg.md_ticks);
-    let mut results = Vec::new();
-    let mut medians = [0.0f64; 2];
-    let mut digests = [0u64; 2];
-    for (slot, reference) in [(0usize, true), (1usize, false)] {
-        let mut md = MovementDetector::new(N_STREAMS, TICK_HZ, bench_params())
-            .map_err(|e| format!("bench md: {e}"))?;
-        md.set_reference_paths(reference);
-        let mut tick = 0usize;
-        let mut digest = 0u64;
-        let mut out: Vec<MdVerdict> = Vec::new();
-        let m = measure(clock, cfg.warmup_iters, cfg.iters, cfg.samples, cfg.md_ticks, || {
-            if reference {
-                for row in rows_flat.chunks_exact(N_STREAMS) {
-                    let v = md.step(tick, row);
-                    verdict_digest(&mut digest, &v);
-                    tick += 1;
-                }
-            } else {
-                out.clear();
-                md.step_batch(tick, &rows_flat, &mut out);
-                tick += cfg.md_ticks as usize;
-                for v in &out {
-                    verdict_digest(&mut digest, v);
-                }
-            }
-        })?;
-        medians[slot] = m.wall_median_ns_per_unit;
-        digests[slot] = digest;
-        let mut row =
-            BenchRow::new(if reference { "md_step_reference" } else { "md_step_fast" });
-        row.push("ticks", FieldValue::U64(cfg.md_ticks));
-        row.push("verdict_digest", FieldValue::U64(digest));
-        if !reference {
-            row.push("matches_reference", FieldValue::Bool(digest == digests[0]));
-            row.push(
-                "wall_speedup_vs_reference",
-                FieldValue::F64(if medians[1] > 0.0 { medians[0] / medians[1] } else { 0.0 }),
-            );
+    let mut md = MovementDetector::new(N_STREAMS, TICK_HZ, bench_params())
+        .map_err(|e| format!("bench md: {e}"))?;
+    let mut tick = 0usize;
+    let mut digest = 0u64;
+    let m = measure(clock, cfg.warmup_iters, cfg.iters, cfg.samples, cfg.md_ticks, || {
+        for row in rows_flat.chunks_exact(N_STREAMS) {
+            verdict_digest(&mut digest, &md.step(tick, row));
+            tick += 1;
         }
-        row.push_measurement(&m);
-        results.push(row);
-    }
-    if digests[0] != digests[1] {
-        return Err(format!(
-            "md fast path diverged from reference: digest {:#x} vs {:#x}",
-            digests[1], digests[0]
-        ));
-    }
-    Ok(results)
+    })?;
+    let mut row = BenchRow::new("md_step");
+    row.push("ticks", FieldValue::U64(cfg.md_ticks));
+    row.push("verdict_digest", FieldValue::U64(digest));
+    row.push_measurement(&m);
+    Ok(row)
 }
 
 fn svm_rows_bench(cfg: &BenchConfig, clock: &dyn Clock) -> Result<Vec<BenchRow>, String> {
@@ -908,7 +874,7 @@ pub fn run(cfg: &BenchConfig, clock: &Arc<dyn Clock>) -> Result<BenchReport, Str
     rows.push(wire_decode_row(cfg, clock)?);
     rows.push(wire_decode_borrowed_row(cfg, clock)?);
     rows.push(mac_verify_row(cfg, clock)?);
-    rows.extend(md_rows(cfg, clock)?);
+    rows.push(md_step_row(cfg, clock)?);
     rows.extend(svm_rows_bench(cfg, clock)?);
     rows.push(kde_fit_row(cfg, clock)?);
     rows.push(fleet_demux_row(cfg, clock)?);

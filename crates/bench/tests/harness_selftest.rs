@@ -115,8 +115,7 @@ fn manual_clock_report_is_fully_deterministic_and_parses() {
         "wire_decode",
         "wire_decode_borrowed",
         "mac_verify",
-        "md_step_reference",
-        "md_step_fast",
+        "md_step",
         "svm_predict_scalar",
         "svm_predict_batch",
         "kde_fit",
@@ -134,14 +133,15 @@ fn manual_clock_report_is_fully_deterministic_and_parses() {
     assert_eq!(names, expected);
     // Each timed row carries a median; the hot-path rows prove they
     // matched the reference arithmetic.
-    for name in ["engine", "wire_decode", "md_step_reference", "kde_fit"] {
+    for name in ["engine", "wire_decode", "md_step", "kde_fit"] {
         let row = rows.iter().find(|r| r.get("name") == Some(&Json::Str(name.into()))).unwrap();
         assert!(row.get("wall_median_ns_per_unit").is_some(), "{name} lacks a median");
     }
-    for name in ["md_step_fast", "svm_predict_batch"] {
-        let row = rows.iter().find(|r| r.get("name") == Some(&Json::Str(name.into()))).unwrap();
-        assert_eq!(row.get("matches_reference"), Some(&Json::Bool(true)), "{name}");
-    }
+    let svm_batch = rows
+        .iter()
+        .find(|r| r.get("name") == Some(&Json::Str("svm_predict_batch".into())))
+        .unwrap();
+    assert_eq!(svm_batch.get("matches_reference"), Some(&Json::Bool(true)));
     let borrowed = rows
         .iter()
         .find(|r| r.get("name") == Some(&Json::Str("wire_decode_borrowed".into())))
@@ -190,8 +190,8 @@ fn manual_clock_report_is_fully_deterministic_and_parses() {
     );
 
     // The in-memory accessors agree with the parsed document.
-    let fast = a.row("md_step_fast").unwrap();
-    assert_eq!(fast.get("matches_reference"), Some(&FieldValue::Bool(true)));
+    let batch = a.row("svm_predict_batch").unwrap();
+    assert_eq!(batch.get("matches_reference"), Some(&FieldValue::Bool(true)));
     assert!(a.row("no_such_row").is_none());
     assert!(a.table().contains("controller_tick_allocs"));
 }

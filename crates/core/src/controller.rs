@@ -22,10 +22,10 @@ use fadewich_svm::PredictScratch;
 use fadewich_telemetry::{SpanId, Telemetry, Value};
 
 use crate::config::FadewichParams;
-use crate::features::{extract_features_from_histories, extract_features_from_histories_into};
+use crate::features::extract_features_from_histories_into;
 use crate::fusion::{DecisionMode, FusionConfig, LightDetector, LightDetectorState, LightEvent};
 use crate::kma::Kma;
-use crate::md::{MdBatchStep, MdRuntimeState, MovementDetector};
+use crate::md::{MdRuntimeState, MovementDetector};
 use crate::re::RadioEnvironment;
 
 /// The controller's top-level state (Fig. 4).
@@ -198,22 +198,12 @@ pub struct Controller<'a> {
     /// Observability only — deliberately absent from
     /// [`ControllerState`]; a restored controller starts disabled.
     telemetry: Telemetry,
-    /// When `true`, Rule 1's untraced decision path uses the original
-    /// allocating feature/classify routines instead of the scratch
-    /// buffers below. Decisions are bit-identical either way (the
-    /// differential suites pin this); the flag exists so the reference
-    /// arithmetic stays exercisable end-to-end. Deliberately absent
-    /// from [`ControllerState`] — it changes cost, never behavior.
-    reference_paths: bool,
     /// Scratch for Rule 1's hot path: the per-stream feature window.
     win_buf: Vec<f64>,
     /// Scratch for Rule 1's hot path: the assembled feature vector.
     feat_buf: Vec<f64>,
     /// Scratch for the SVM vote tally in the untraced classify.
     predict_scratch: PredictScratch,
-    /// Scratch for [`Controller::step_batch`]: the per-tick MD
-    /// verdicts + tracker readings of the current block.
-    md_batch: Vec<MdBatchStep>,
     /// Fusion: decision arbitration mode (RSSI-only by default).
     mode: DecisionMode,
     /// Fusion: one detector per light stream.
@@ -283,11 +273,9 @@ impl<'a> Controller<'a> {
             actions: Vec::new(),
             prev_t: 0.0,
             telemetry: Telemetry::disabled(),
-            reference_paths: false,
             win_buf: Vec::new(),
             feat_buf: Vec::new(),
             predict_scratch: PredictScratch::new(),
-            md_batch: Vec::new(),
             mode: fusion.mode,
             lights,
             light_ws: fusion.light_workstations,
@@ -304,17 +292,6 @@ impl<'a> Controller<'a> {
     /// Number of ambient-light streams this controller consumes.
     pub fn n_light_streams(&self) -> usize {
         self.lights.len()
-    }
-
-    /// Switches between the optimized batched/scratch hot paths
-    /// (default) and the original scalar reference paths, cascading to
-    /// the movement detector's rolling-std bank. Both produce
-    /// bit-identical decisions, actions, traces and checkpoints; the
-    /// toggle exists for the differential pin tests and the bench
-    /// harness's reference/fast comparison.
-    pub fn set_reference_paths(&mut self, reference: bool) {
-        self.md.set_reference_paths(reference);
-        self.reference_paths = reference;
     }
 
     /// Installs a telemetry handle and cascades it to the movement
@@ -541,18 +518,6 @@ impl<'a> Controller<'a> {
             Some(m) => self.md.step_masked(tick, row, m),
         };
         let dwt = self.md.open_duration_ticks(tick);
-        let open_start = self.md.open_window_start();
-        self.fsm_tick(tick, t, dwt, open_start);
-
-        self.housekeeping(tick, t);
-        self.prev_t = t;
-        self.actions.len() - before
-    }
-
-    /// One Fig. 4 FSM advance given this tick's window readings —
-    /// shared by per-tick stepping (live readings) and
-    /// [`Controller::step_batch`] (captured readings).
-    fn fsm_tick(&mut self, tick: usize, t: f64, dwt: usize, open_start: Option<usize>) {
         if dwt > 0 {
             // Corroboration clock for the fused light path — pure
             // recording, identical in every mode.
@@ -562,7 +527,7 @@ impl<'a> Controller<'a> {
         match self.state {
             SystemState::Quiet => {
                 if dwt >= t_delta_ticks && !self.rule1_done {
-                    self.apply_rule1(tick, dwt, t, open_start);
+                    self.apply_rule1(tick, dwt, t);
                     self.rule1_done = true;
                     self.state = SystemState::Noisy;
                     self.fsm_event(tick, "noisy", dwt);
@@ -578,59 +543,10 @@ impl<'a> Controller<'a> {
                 }
             }
         }
-    }
 
-    /// Feeds a block of consecutive *unmasked* ticks (row-major: tick
-    /// `i` of the block at `rows[i*n_streams .. (i+1)*n_streams]`,
-    /// starting at `start_tick`). Appends one per-tick action count to
-    /// `actions_per_tick` (so a streaming caller can attribute emitted
-    /// actions to their ticks) and returns the block's total.
-    ///
-    /// Decisions are bit-identical to calling [`Controller::step`] per
-    /// tick: MD runs ahead over the whole block via
-    /// [`MovementDetector::step_batch_tracked`] — legal because the
-    /// detector takes no feedback from the FSM — while the FSM and
-    /// session housekeeping then replay per tick against the captured
-    /// window readings and incrementally grown histories. With
-    /// telemetry enabled or the reference paths pinned, this falls back
-    /// to the per-tick loop so trace emission order is untouched.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows.len()` is not a multiple of the stream count.
-    pub fn step_batch(
-        &mut self,
-        start_tick: usize,
-        rows: &[f64],
-        actions_per_tick: &mut Vec<usize>,
-    ) -> usize {
-        let n = self.histories.len();
-        assert_eq!(rows.len() % n, 0, "row block width must be a multiple of the stream count");
-        let block_start = self.actions.len();
-        if self.telemetry.is_enabled() || self.reference_paths {
-            for (i, row) in rows.chunks_exact(n).enumerate() {
-                actions_per_tick.push(self.step(start_tick + i, row));
-            }
-            return self.actions.len() - block_start;
-        }
-        let mut meta = std::mem::take(&mut self.md_batch);
-        meta.clear();
-        self.md.step_batch_tracked(start_tick, rows, &mut meta);
-        for (i, row) in rows.chunks_exact(n).enumerate() {
-            let tick = start_tick + i;
-            let t = tick as f64 / self.tick_hz;
-            let before = self.actions.len();
-            for (h, &x) in self.histories.iter_mut().zip(row) {
-                h.push(x);
-            }
-            let step = &meta[i];
-            self.fsm_tick(tick, t, step.open_duration_ticks, step.open_window_start);
-            self.housekeeping(tick, t);
-            self.prev_t = t;
-            actions_per_tick.push(self.actions.len() - before);
-        }
-        self.md_batch = meta;
-        self.actions.len() - block_start
+        self.housekeeping(tick, t);
+        self.prev_t = t;
+        self.actions.len() - before
     }
 
     /// Feeds one tick of ambient-light samples (one per configured
@@ -766,11 +682,8 @@ impl<'a> Controller<'a> {
     /// the RE feature vector, the per-class SVM votes/margins, the KMA
     /// idle set and the final verdict (deauth or the reason there was
     /// none) — the decision audit trail.
-    /// `open_start` is MD's open-window start *as of this tick* — the
-    /// live reading in per-tick stepping, or the captured per-tick
-    /// reading when the detector ran ahead in [`Controller::step_batch`].
-    fn apply_rule1(&mut self, tick: usize, dwt: usize, t: f64, open_start: Option<usize>) {
-        let start = Self::rule1_window_start(open_start, tick, dwt);
+    fn apply_rule1(&mut self, tick: usize, dwt: usize, t: f64) {
+        let start = Self::rule1_window_start(self.md.open_window_start(), tick, dwt);
         let audit = self.telemetry.span_open(
             tick as u64,
             "rule1_eval",
@@ -781,48 +694,9 @@ impl<'a> Controller<'a> {
                 ("t", Value::F64(t)),
             ],
         );
-        let label = if audit.is_some() || self.reference_paths {
-            // Traced or reference path: the original allocating
-            // extraction (the audit event clones the features anyway).
-            let features = extract_features_from_histories(
-                &self.histories,
-                start as u64,
-                self.tick_hz,
-                &self.params,
-            );
-            match &features {
-                Some(features) => {
-                    if audit.is_some() {
-                        let p = self.re.classify_with_margins(features);
-                        self.telemetry.event(
-                            tick as u64,
-                            "re_prediction",
-                            audit,
-                            &[
-                                ("label", Value::U64(p.label as u64)),
-                                (
-                                    "classes",
-                                    Value::U64s(
-                                        self.re.classes().iter().map(|&c| c as u64).collect(),
-                                    ),
-                                ),
-                                ("votes", Value::U64s(p.votes.iter().map(|&v| v as u64).collect())),
-                                ("margins", Value::F64s(p.margins.clone())),
-                                ("features", Value::F64s(features.clone())),
-                            ],
-                        );
-                        p.label
-                    } else {
-                        self.re.classify(features)
-                    }
-                }
-                None => {
-                    // History evicted (cannot happen in practice).
-                    self.rule1_verdict(tick, audit, start, None, false, "no_features");
-                    return;
-                }
-            }
-        } else if extract_features_from_histories_into(
+        // The window and feature scratch make an untraced evaluation
+        // allocation-free at steady state.
+        if !extract_features_from_histories_into(
             &self.histories,
             start as u64,
             self.tick_hz,
@@ -830,14 +704,30 @@ impl<'a> Controller<'a> {
             &mut self.win_buf,
             &mut self.feat_buf,
         ) {
-            // Untraced hot path: reuse the window/feature scratch and
-            // the SVM vote tally — allocation-free at steady state,
-            // bit-identical label.
-            self.re.classify_into(&self.feat_buf, &mut self.predict_scratch)
-        } else {
             // History evicted (cannot happen in practice).
             self.rule1_verdict(tick, audit, start, None, false, "no_features");
             return;
+        }
+        let label = if audit.is_some() {
+            let p = self.re.classify_with_margins(&self.feat_buf);
+            self.telemetry.event(
+                tick as u64,
+                "re_prediction",
+                audit,
+                &[
+                    ("label", Value::U64(p.label as u64)),
+                    (
+                        "classes",
+                        Value::U64s(self.re.classes().iter().map(|&c| c as u64).collect()),
+                    ),
+                    ("votes", Value::U64s(p.votes.iter().map(|&v| v as u64).collect())),
+                    ("margins", Value::F64s(p.margins.clone())),
+                    ("features", Value::F64s(self.feat_buf.clone())),
+                ],
+            );
+            p.label
+        } else {
+            self.re.classify_into(&self.feat_buf, &mut self.predict_scratch)
         };
         if label == 0 {
             // w0: someone entered; nobody to deauthenticate.
@@ -1061,46 +951,6 @@ mod tests {
         // Rule 1 fires when the window reaches t_delta (~4.6 s after 120).
         let dt = deauth[0].t - 120.0;
         assert!((3.0..=7.0).contains(&dt), "deauth after {dt} s");
-    }
-
-    #[test]
-    fn reference_and_fast_paths_act_bit_identically() {
-        // Same seeded day (with a deauth-triggering burst and masked
-        // ticks) through the default fast paths and the scalar
-        // reference paths: identical actions and identical exported
-        // runtime state, bit for bit.
-        let inputs = departure_inputs(400);
-        let n_streams = 4;
-        let re = fixed_re(n_streams);
-        let params = FadewichParams { profile_init_s: 30.0, ..Default::default() };
-        let run = |reference: bool| {
-            let kma = Kma::new(&inputs);
-            let mut ctl = Controller::new(n_streams, 5.0, params, &re, kma).unwrap();
-            ctl.set_reference_paths(reference);
-            let mut rng = Rng::seed_from_u64(7);
-            let mut mask = vec![false; n_streams];
-            for tick in 0..1200 {
-                let noisy = (600..640).contains(&tick);
-                let sd = if noisy { 4.0 } else { 0.6 };
-                let row: Vec<f64> = (0..n_streams).map(|_| -50.0 + rng.normal() * sd).collect();
-                if tick % 97 == 0 {
-                    mask[tick / 97 % n_streams] = true;
-                    ctl.step_masked(tick, &row, &mask);
-                    mask[tick / 97 % n_streams] = false;
-                } else {
-                    ctl.step(tick, &row);
-                }
-            }
-            (ctl.actions().to_vec(), ctl.runtime_state())
-        };
-        let (fast_actions, fast_state) = run(false);
-        let (ref_actions, ref_state) = run(true);
-        assert_eq!(fast_actions, ref_actions);
-        assert_eq!(fast_state, ref_state);
-        assert!(
-            fast_actions.iter().any(|a| a.kind.is_deauth()),
-            "day should exercise Rule 1: {fast_actions:?}"
-        );
     }
 
     #[test]

@@ -66,37 +66,12 @@ pub fn feature_names(link_ids: &[LinkId], streams: &[usize]) -> Vec<String> {
 
 /// Extracts the same features as [`extract_features`], but from the
 /// online per-stream history buffers the controller maintains instead
-/// of a recorded trace. Returns `None` if the window has already been
-/// evicted from history (the buffers are sized so this cannot happen
-/// during normal operation).
-pub fn extract_features_from_histories(
-    histories: &[fadewich_stats::rolling::HistoryBuffer],
-    t1_tick: u64,
-    tick_hz: f64,
-    params: &FadewichParams,
-) -> Option<Vec<f64>> {
-    let mut features = Vec::with_capacity(histories.len() * FEATURES_PER_STREAM);
-    for h in histories {
-        let t_end = (t1_tick + params.feature_window_ticks(tick_hz) as u64)
-            .min(h.total_pushed())
-            .max(t1_tick + 2);
-        let window = h.range(t1_tick, t_end)?;
-        features.push(descriptive::variance(&window));
-        features.push(Histogram::of_data(&window, params.entropy_bins).entropy_bits());
-        features.push(autocorr::mean_acf(&window, params.acf_max_lag));
-    }
-    Some(features)
-}
-
-/// Scratch-buffer variant of [`extract_features_from_histories`] for
-/// the controller's per-tick loop: the window samples land in
-/// `win_buf` and the features are appended to a cleared `out`, so once
-/// both buffers have reached steady-state capacity a call performs no
-/// feature-vector or window allocation. Returns `false` (leaving
-/// `out` empty) where the allocating variant returns `None`.
-///
-/// Produces bit-identical feature values to the allocating variant —
-/// both feed the same per-window slices through the same estimators.
+/// of a recorded trace. The window samples land in `win_buf` and the
+/// features are appended to a cleared `out`, so once both buffers have
+/// reached steady-state capacity a call performs no feature-vector or
+/// window allocation. Returns `false` (leaving `out` empty) if the
+/// window has already been evicted from history (the buffers are sized
+/// so this cannot happen during normal operation).
 pub fn extract_features_from_histories_into(
     histories: &[fadewich_stats::rolling::HistoryBuffer],
     t1_tick: u64,
@@ -196,6 +171,28 @@ mod tests {
                 "d1-d2-var", "d1-d2-ent", "d1-d2-ac",
             ]
         );
+    }
+
+    /// The allocating form of [`extract_features_from_histories_into`]:
+    /// the window is copied out with `HistoryBuffer::range`. Kept as
+    /// that function's test oracle.
+    fn extract_features_from_histories(
+        histories: &[fadewich_stats::rolling::HistoryBuffer],
+        t1_tick: u64,
+        tick_hz: f64,
+        params: &FadewichParams,
+    ) -> Option<Vec<f64>> {
+        let mut features = Vec::with_capacity(histories.len() * FEATURES_PER_STREAM);
+        for h in histories {
+            let t_end = (t1_tick + params.feature_window_ticks(tick_hz) as u64)
+                .min(h.total_pushed())
+                .max(t1_tick + 2);
+            let window = h.range(t1_tick, t_end)?;
+            features.push(descriptive::variance(&window));
+            features.push(Histogram::of_data(&window, params.entropy_bins).entropy_bits());
+            features.push(autocorr::mean_acf(&window, params.acf_max_lag));
+        }
+        Some(features)
     }
 
     #[test]

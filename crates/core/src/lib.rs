@@ -87,7 +87,7 @@ pub use fusion::{
 };
 pub use guard::{GuardParams, IntegrityAlarm, IntegrityGuard};
 pub use kma::Kma;
-pub use md::{MdBatchStep, MdRun, MdSnapshot, MovementDetector};
+pub use md::{MdRun, MdSnapshot, MovementDetector};
 pub use re::{auto_label, AutoLabelParams, RadioEnvironment};
 pub use security::{AttackAnalysis, DeauthCase, DeauthOutcome, DetectionOutcome};
 pub use stream::{rssi_groups, ChannelKind, SensorGroup, StreamSchema};

@@ -28,20 +28,6 @@ pub struct MdVerdict {
     pub closed_window: Option<VariationWindow>,
 }
 
-/// One tick of [`MovementDetector::step_batch_tracked`] output: the
-/// verdict plus the window-tracker readings (`dW_t`, open-window start)
-/// as they stood immediately after that tick, so a batched caller can
-/// replay the FSM exactly as if it had interleaved per-tick steps.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MdBatchStep {
-    /// The tick's verdict, as [`MovementDetector::step`] would return.
-    pub verdict: MdVerdict,
-    /// `dW_t` at this tick (0 when no window is open).
-    pub open_duration_ticks: usize,
-    /// Start tick of the then-open variation window, if any.
-    pub open_window_start: Option<usize>,
-}
-
 /// Exported MD state: the learned normal profile and its KDE-derived
 /// anomaly threshold. This is what the model-artifact bundle persists
 /// so a serving process can start detecting without an
@@ -78,79 +64,12 @@ pub struct MdRuntimeState {
     pub tracker: WindowTrackerState,
 }
 
-/// The per-stream rolling-std storage behind [`MovementDetector`].
-///
-/// Both variants hold identical mathematical state and produce
-/// bit-identical `std_dev` streams (see [`RollingStdBatch`]'s
-/// contract); they differ only in memory layout and therefore speed.
-/// `Fast` is the default; [`MovementDetector::set_reference_paths`]
-/// swaps to the scalar `Reference` bank for differential testing, and
-/// either bank checkpoints as the same `Vec<RollingStdState>`.
-#[derive(Debug, Clone)]
-enum StdBank {
-    /// One independently allocated window per stream (the original
-    /// scalar layout, kept as the differential-test oracle).
-    Reference(Vec<RollingStd>),
-    /// All streams in one struct-of-arrays bank.
-    Fast(RollingStdBatch),
-}
-
-impl StdBank {
-    fn n_streams(&self) -> usize {
-        match self {
-            StdBank::Reference(v) => v.len(),
-            StdBank::Fast(b) => b.n_streams(),
-        }
-    }
-
-    fn push_row(&mut self, row: &[f64]) {
-        match self {
-            StdBank::Reference(v) => {
-                for (w, &x) in v.iter_mut().zip(row) {
-                    w.push(x);
-                }
-            }
-            StdBank::Fast(b) => b.push_row(row),
-        }
-    }
-
-    fn push_one(&mut self, s: usize, x: f64) {
-        match self {
-            StdBank::Reference(v) => v[s].push(x),
-            StdBank::Fast(b) => b.push_one(s, x),
-        }
-    }
-
-    fn std_dev(&self, s: usize) -> f64 {
-        match self {
-            StdBank::Reference(v) => v[s].std_dev(),
-            StdBank::Fast(b) => b.std_dev(s),
-        }
-    }
-
-    /// Σ std_dev over all streams, folded in stream order from `0.0`
-    /// in both variants (the `s_t` bit pattern depends on it).
-    fn sum_std_devs(&self) -> f64 {
-        match self {
-            StdBank::Reference(v) => v.iter().map(RollingStd::std_dev).sum(),
-            StdBank::Fast(b) => (0..b.n_streams()).map(|s| b.std_dev(s)).sum(),
-        }
-    }
-
-    fn states(&self) -> Vec<RollingStdState> {
-        match self {
-            StdBank::Reference(v) => v.iter().map(RollingStd::state).collect(),
-            StdBank::Fast(b) => b.states(),
-        }
-    }
-}
-
 /// The online movement detector.
 #[derive(Debug, Clone)]
 pub struct MovementDetector {
     params: FadewichParams,
     tick_hz: f64,
-    stream_stds: StdBank,
+    stream_stds: RollingStdBatch,
     profile: Vec<f64>,
     threshold: Option<f64>,
     init_ticks: usize,
@@ -194,7 +113,7 @@ impl MovementDetector {
         Ok(MovementDetector {
             params,
             tick_hz,
-            stream_stds: StdBank::Fast(RollingStdBatch::new(n_streams, window_ticks)),
+            stream_stds: RollingStdBatch::new(n_streams, window_ticks),
             profile: Vec::with_capacity(params.profile_capacity),
             threshold: None,
             init_ticks: (params.profile_init_s * tick_hz).round() as usize,
@@ -226,31 +145,6 @@ impl MovementDetector {
     /// Number of monitored streams.
     pub fn n_streams(&self) -> usize {
         self.stream_stds.n_streams()
-    }
-
-    /// Selects between the struct-of-arrays fast path (the default)
-    /// and the scalar reference path for the per-stream rolling-std
-    /// bank. The two are bit-identical by construction — this switch
-    /// exists so differential and end-to-end pin tests can prove it,
-    /// and so a future regression can be bisected to one layout.
-    ///
-    /// Switching converts the live state through the checkpoint codec,
-    /// which preserves every accumulator bit; it can be flipped
-    /// mid-stream without perturbing subsequent verdicts.
-    pub fn set_reference_paths(&mut self, reference: bool) {
-        let states = self.stream_stds.states();
-        self.stream_stds = if reference {
-            StdBank::Reference(
-                states
-                    .iter()
-                    .map(|s| RollingStd::from_state(s).expect("self-exported state is valid"))
-                    .collect(),
-            )
-        } else {
-            StdBank::Fast(
-                RollingStdBatch::from_states(&states).expect("self-exported state is valid"),
-            )
-        };
     }
 
     /// The current anomaly threshold `ub`, once initialized.
@@ -365,10 +259,8 @@ impl MovementDetector {
             }
             RollingStd::from_state(s).map_err(|e| format!("stream {i}: {e}"))?;
         }
-        let stds = StdBank::Fast(
-            RollingStdBatch::from_states(&state.stream_stds)
-                .expect("entries validated individually above"),
-        );
+        let stds = RollingStdBatch::from_states(&state.stream_stds)
+            .expect("entries validated individually above");
         if state.queue.len() >= params.batch_size {
             return Err(format!(
                 "batch queue of {} values should have flushed at {}",
@@ -424,60 +316,6 @@ impl MovementDetector {
         self.step_inner(tick, row, None)
     }
 
-    /// Feeds a block of consecutive ticks (row-major: tick `i` at
-    /// `rows[i*n_streams .. (i+1)*n_streams]`, starting at
-    /// `start_tick`), appending one verdict per tick to `out`.
-    ///
-    /// Semantically identical to calling [`step`](Self::step) per
-    /// tick — verdicts are bit-identical — but the bank's row sweep
-    /// stays hot across the block, which is how the offline/bench
-    /// paths drive the detector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows.len()` is not a multiple of `n_streams()`.
-    pub fn step_batch(&mut self, start_tick: usize, rows: &[f64], out: &mut Vec<MdVerdict>) {
-        let n = self.stream_stds.n_streams();
-        assert_eq!(rows.len() % n, 0, "row block width must be a multiple of the stream count");
-        for (i, row) in rows.chunks_exact(n).enumerate() {
-            out.push(self.step_inner(start_tick + i, row, None));
-        }
-    }
-
-    /// [`step_batch`](Self::step_batch) plus the per-tick window-tracker
-    /// readings a per-tick caller would observe between steps.
-    ///
-    /// The detector advances independently of the controller FSM (no
-    /// feedback), so a whole block of unmasked ticks can run through MD
-    /// first — but the FSM consumes `dW_t` and the open-window start
-    /// *as they stood right after each tick*, and a later tick in the
-    /// block may close or reopen the window. This variant captures
-    /// those readings immediately after each internal step, so the FSM
-    /// can replay them per tick and stay bit-identical to interleaved
-    /// stepping (the streaming engine's batched ingest relies on this).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows.len()` is not a multiple of `n_streams()`.
-    pub fn step_batch_tracked(
-        &mut self,
-        start_tick: usize,
-        rows: &[f64],
-        out: &mut Vec<MdBatchStep>,
-    ) {
-        let n = self.stream_stds.n_streams();
-        assert_eq!(rows.len() % n, 0, "row block width must be a multiple of the stream count");
-        for (i, row) in rows.chunks_exact(n).enumerate() {
-            let tick = start_tick + i;
-            let verdict = self.step_inner(tick, row, None);
-            out.push(MdBatchStep {
-                verdict,
-                open_duration_ticks: self.tracker.open_duration_ticks(tick),
-                open_window_start: self.tracker.open_start(),
-            });
-        }
-    }
-
     /// Feeds one tick in which some streams are unavailable (sensor
     /// quarantined, sample too stale to gap-fill). `mask[i] == true`
     /// excludes stream `i`: its rolling window is not advanced and its
@@ -516,7 +354,8 @@ impl MovementDetector {
         }
         self.ticks_seen += 1;
         let st: f64 = match mask {
-            None => self.stream_stds.sum_std_devs(),
+            // Summed in stream order: the `s_t` bit pattern depends on it.
+            None => (0..self.stream_stds.n_streams()).map(|s| self.stream_stds.std_dev(s)).sum(),
             Some(m) => {
                 let mut sum = 0.0;
                 let mut active = 0usize;
@@ -1070,58 +909,31 @@ mod tests {
     }
 
     #[test]
-    fn reference_and_fast_banks_are_bit_identical() {
-        // The scalar reference bank against the default SoA bank over
-        // a day with a burst, masked ticks, and a mid-stream mode flip
-        // that must convert the live state losslessly.
+    fn st_is_the_scalar_rolling_std_sum() {
+        // The SoA bank against independent scalar `RollingStd` windows:
+        // every tick's `s_t`, bit for bit, over a day with a burst and
+        // masked ticks (whose rescaled sum skips the masked window).
         let day = synthetic_day(4, 2400, Some((1400, 1460, 2.0)), 21);
-        let mut fast = MovementDetector::new(4, 5.0, fast_params()).unwrap();
-        let mut reference = MovementDetector::new(4, 5.0, fast_params()).unwrap();
-        reference.set_reference_paths(true);
+        let params = fast_params();
+        let mut md = MovementDetector::new(4, 5.0, params).unwrap();
+        let mut oracle = vec![RollingStd::new(params.std_window_ticks(5.0)); 4];
+        let mask = [false, true, false, false];
         for tick in 0..day.n_ticks() {
             let row: Vec<f64> = (0..4).map(|s| day.sample(tick, s)).collect();
-            let (a, b) = if tick % 97 == 0 {
-                let mask = [false, true, false, false];
-                (fast.step_masked(tick, &row, &mask), reference.step_masked(tick, &row, &mask))
+            let (got, want) = if tick % 97 == 0 {
+                let mut sum = 0.0;
+                for (s, w) in oracle.iter_mut().enumerate().filter(|&(s, _)| !mask[s]) {
+                    w.push(row[s]);
+                    sum += w.std_dev();
+                }
+                (md.step_masked(tick, &row, &mask), sum * 4.0 / 3.0)
             } else {
-                (fast.step(tick, &row), reference.step(tick, &row))
+                for (w, &x) in oracle.iter_mut().zip(&row) {
+                    w.push(x);
+                }
+                (md.step(tick, &row), oracle.iter().map(RollingStd::std_dev).sum())
             };
-            assert_eq!(a.st.to_bits(), b.st.to_bits(), "s_t diverged at tick {tick}");
-            assert_eq!(a, b, "verdict diverged at tick {tick}");
-            if tick == 1200 {
-                // Swap banks on both detectors mid-stream.
-                fast.set_reference_paths(true);
-                reference.set_reference_paths(false);
-            }
-        }
-        assert_eq!(fast.runtime_state(), reference.runtime_state());
-    }
-
-    #[test]
-    fn step_batch_matches_per_tick_step() {
-        let day = synthetic_day(4, 900, Some((500, 540, 2.0)), 22);
-        let mut per_tick = MovementDetector::new(4, 5.0, fast_params()).unwrap();
-        let mut batched = MovementDetector::new(4, 5.0, fast_params()).unwrap();
-        let mut expected = Vec::new();
-        let mut flat = Vec::new();
-        for tick in 0..day.n_ticks() {
-            let row: Vec<f64> = (0..4).map(|s| day.sample(tick, s)).collect();
-            expected.push(per_tick.step(tick, &row));
-            flat.extend_from_slice(&row);
-        }
-        let mut got = Vec::new();
-        // Uneven block sizes, including a zero-length block.
-        let mut tick = 0usize;
-        for block in [300usize, 0, 128, 472] {
-            let start = tick * 4;
-            batched.step_batch(tick, &flat[start..start + block * 4], &mut got);
-            tick += block;
-        }
-        assert_eq!(tick, day.n_ticks());
-        assert_eq!(got.len(), expected.len());
-        for (t, (a, b)) in got.iter().zip(&expected).enumerate() {
-            assert_eq!(a.st.to_bits(), b.st.to_bits(), "tick {t}");
-            assert_eq!(a, b, "tick {t}");
+            assert_eq!(got.st.to_bits(), want.to_bits(), "s_t diverged at tick {tick}");
         }
     }
 

@@ -243,56 +243,3 @@ fn never_deauthenticates_an_active_workstation() {
         }
     }
 }
-
-#[test]
-fn step_batch_is_bit_identical_to_per_tick_stepping() {
-    // The streaming engine's batched ingest path: MD runs ahead over a
-    // block while the FSM replays per tick against captured window
-    // readings. Every action (kind, workstation, timestamp bits) and
-    // the final FSM state must match per-tick stepping exactly, for
-    // block boundaries landing before/inside/after windows.
-    let re = fixed_re();
-    let inputs = departure_inputs(2000);
-    let n_ticks = 2400usize;
-    let mut rng = Rng::seed_from_u64(7);
-    let rows: Vec<f64> = (0..n_ticks * N_STREAMS)
-        .map(|i| {
-            let tick = i / N_STREAMS;
-            let noisy = (600..700).contains(&tick) || (1400..1460).contains(&tick);
-            let sd = if noisy { 4.0 } else { 0.6 };
-            -50.0 + rng.normal() * sd
-        })
-        .collect();
-
-    let mut reference = Controller::new(N_STREAMS, TICK_HZ, test_params(), &re, Kma::new(&inputs))
-        .unwrap();
-    let mut ref_counts = Vec::with_capacity(n_ticks);
-    for (tick, row) in rows.chunks_exact(N_STREAMS).enumerate() {
-        ref_counts.push(reference.step(tick, row));
-    }
-
-    for block in [1usize, 2, 7, 64, 601, n_ticks] {
-        let mut batched =
-            Controller::new(N_STREAMS, TICK_HZ, test_params(), &re, Kma::new(&inputs)).unwrap();
-        let mut counts = Vec::with_capacity(n_ticks);
-        let mut tick = 0usize;
-        for chunk in rows.chunks(block * N_STREAMS) {
-            let emitted = batched.step_batch(tick, chunk, &mut counts);
-            let expected: usize =
-                ref_counts[tick..tick + chunk.len() / N_STREAMS].iter().sum();
-            assert_eq!(emitted, expected, "block {block} at tick {tick}");
-            tick += chunk.len() / N_STREAMS;
-        }
-        assert_eq!(counts, ref_counts, "per-tick action counts, block {block}");
-        assert_eq!(batched.state(), reference.state(), "block {block}");
-        assert_eq!(batched.actions().len(), reference.actions().len(), "block {block}");
-        for (a, b) in batched.actions().iter().zip(reference.actions()) {
-            assert_eq!(a.kind, b.kind, "block {block}");
-            assert_eq!(a.t.to_bits(), b.t.to_bits(), "block {block}");
-        }
-    }
-    assert!(
-        reference.actions().iter().any(|a| a.kind.is_deauth()),
-        "fixture must exercise a deauthentication"
-    );
-}

@@ -197,7 +197,10 @@ pub struct RuntimeCounters {
     pub channels: [ChannelCounters; ChannelKind::COUNT],
     /// Wire-decode stage latency.
     pub decode: LatencyHisto,
-    /// Per-tick pipeline (MD → RE → Controller) latency.
+    /// Pipeline (row assembly, MD → RE → Controller) latency, one
+    /// sample per drain of closed ticks: an ingest call that closes
+    /// several ticks records the span from its first closed tick to
+    /// its return.
     pub step: LatencyHisto,
 }
 

@@ -24,8 +24,14 @@
 //! decodes a zero-copy [`FrameView`] with [`Frame::decode_borrowed`],
 //! and after the auth gate its samples go straight from the wire bytes
 //! into the reorder buffer's flat slot for the tick; no per-frame
-//! `Vec` is built. Closed ticks are popped one at a time and the row is
-//! assembled from the slot in place. The trusted
+//! `Vec` is built. Closed ticks are popped one at a time, the row is
+//! assembled from the slot in place, and the tick advances the
+//! controller through exactly one [`Controller::step`] —
+//! [`Controller::step_masked`] when a stream is masked — plus
+//! [`Controller::observe_light`] for a light suffix. The wall-time
+//! `step` histogram takes one sample per drain — per public call that
+//! closes ticks, from its first closed tick to its return — so the
+//! clock is not read per tick. The trusted
 //! [`StreamingEngine::ingest_frame`] funnels into the same core. Past
 //! warm-up a tick's only heap traffic is its slot (three allocation
 //! calls), as `tests/alloc_ingest.rs` pins.
@@ -340,23 +346,11 @@ pub struct StreamingEngine<'a> {
     /// deterministic. Never consulted on any decision path.
     clock: Arc<dyn Clock>,
     telemetry: Telemetry,
-    /// Row-major block of consecutive *unmasked* ticks awaiting a
-    /// batched controller advance ([`Controller::step_batch`]). Always
-    /// flushed before a public call returns, so every externally
-    /// observable state — counters, actions, events, snapshots — is
-    /// exactly what per-tick stepping would have produced.
-    batch_rows: Vec<f64>,
-    /// First tick of the pending batch (meaningful only while
-    /// `batch_rows` is non-empty).
-    batch_start: u64,
-    /// Scratch for the per-tick action counts of a flushed batch.
-    batch_counts: Vec<usize>,
+    /// Clock reading at the first tick the current public call closed;
+    /// the call records one `step` sample from it before returning, so
+    /// this is `None` between calls and never checkpointed.
+    drain_t0: Option<u64>,
 }
-
-/// Upper bound on buffered ticks per batched controller advance; keeps
-/// the tail-padding path in [`StreamingEngine::finish`] from staging an
-/// entire lost day in memory at once.
-const MAX_BATCH_TICKS: usize = 1024;
 
 impl<'a> StreamingEngine<'a> {
     /// Builds an engine for an all-RSSI deployment described by the
@@ -429,9 +423,7 @@ impl<'a> StreamingEngine<'a> {
             clock: Arc::new(WallClock),
             telemetry: Telemetry::disabled(),
             groups,
-            batch_rows: Vec::new(),
-            batch_start: 0,
-            batch_counts: Vec::new(),
+            drain_t0: None,
         })
     }
 
@@ -477,15 +469,6 @@ impl<'a> StreamingEngine<'a> {
     /// consulted on a decision path.
     pub fn set_clock(&mut self, clock: Arc<dyn Clock>) {
         self.clock = clock;
-    }
-
-    /// Switches the core pipeline between the optimized batched hot
-    /// paths (default) and the original scalar reference paths; see
-    /// [`Controller::set_reference_paths`]. Decisions, events and
-    /// checkpoints are bit-identical either way — the e2e pin test in
-    /// `tests/parity.rs` holds the two runs byte-equal.
-    pub fn set_reference_paths(&mut self, reference: bool) {
-        self.controller.set_reference_paths(reference);
     }
 
     /// Switches the engine into **authenticated mode**: from here on,
@@ -549,7 +532,7 @@ impl<'a> StreamingEngine<'a> {
                 }
             }
         }
-        self.flush_batch();
+        self.record_drain();
     }
 
     /// Feeds one already-decoded frame. This is the **trusted** path —
@@ -559,7 +542,7 @@ impl<'a> StreamingEngine<'a> {
     pub fn ingest_frame(&mut self, frame: Frame) {
         let n_values = frame.values.len();
         self.ingest(frame.channel, frame.sensor, frame.seq, frame.tick, n_values, frame.values);
-        self.flush_batch();
+        self.record_drain();
     }
 
     /// Authentication gate for one wire frame. Legacy mode: v1–v3 pass
@@ -687,17 +670,19 @@ impl<'a> StreamingEngine<'a> {
                 self.process_tick(&closed);
             }
         }
-        while self.ticks_ingested() < expected_ticks {
-            let tick = self.ticks_ingested();
+        while self.counters.ticks_processed < expected_ticks {
+            let tick = self.counters.ticks_processed;
             self.process_tick(&ClosedTick::missing(tick));
         }
-        self.flush_batch();
+        self.record_drain();
     }
 
-    /// Ticks the pipeline has consumed, counting those still staged in
-    /// the pending batch.
-    fn ticks_ingested(&self) -> u64 {
-        self.counters.ticks_processed + (self.batch_rows.len() / self.n_streams) as u64
+    /// Records the wall time since the first tick this call closed as
+    /// one `step` sample. A call that closed no tick reads no clock.
+    fn record_drain(&mut self) {
+        if let Some(t0) = self.drain_t0.take() {
+            self.counters.step.record_ns(self.clock.now_ns().saturating_sub(t0));
+        }
     }
 
     fn absorb_reorder_events(&mut self) {
@@ -740,6 +725,9 @@ impl<'a> StreamingEngine<'a> {
     }
 
     fn process_tick(&mut self, closed: &ClosedTick) {
+        if self.drain_t0.is_none() {
+            self.drain_t0 = Some(self.clock.now_ns());
+        }
         let tick = closed.tick;
         let mut any_masked = false;
         for (sender, g) in self.groups.iter().enumerate() {
@@ -777,89 +765,23 @@ impl<'a> StreamingEngine<'a> {
         }
         self.counters.watermark_lag_max =
             self.counters.watermark_lag_max.max(self.reorder.max_watermark_lag());
-        if self.n_rssi < self.n_streams {
-            // Typed path: the RSSI prefix steps MD/RE per tick (masked
-            // or not), then the light suffix feeds the detector bank.
-            // Batching is a pure-RSSI optimization; a fused layout
-            // takes the per-tick path so light observations interleave
-            // with RF steps in tick order.
-            let t0 = self.clock.now_ns();
-            let n_rf = self.controller.step_masked(
-                tick as usize,
-                &self.row[..self.n_rssi],
-                &self.mask[..self.n_rssi],
-            );
-            let n_light = self.controller.observe_light(
-                tick as usize,
-                &self.row[self.n_rssi..],
-                &self.mask[self.n_rssi..],
-            );
-            self.counters.step.record_ns(self.clock.now_ns().saturating_sub(t0));
-            self.counters.ticks_processed += 1;
-            let actions = self.controller.actions();
-            for action in &actions[actions.len() - (n_rf + n_light)..] {
-                self.events.push(EngineEvent::Decision { tick, action: *action });
-            }
-            return;
+        // The RSSI prefix steps MD/RE, then any light suffix feeds the
+        // detector bank, so light observations interleave with RF
+        // steps in tick order.
+        let n = self.n_rssi;
+        let mut n_new = if any_masked {
+            self.controller.step_masked(tick as usize, &self.row[..n], &self.mask[..n])
+        } else {
+            self.controller.step(tick as usize, &self.row[..n])
+        };
+        if n < self.n_streams {
+            n_new +=
+                self.controller.observe_light(tick as usize, &self.row[n..], &self.mask[n..]);
         }
-        if !any_masked {
-            // Hot path: stage the tick for a batched controller advance
-            // (MD sweeps the whole block, FSM replays per tick —
-            // bit-identical, see `Controller::step_batch`). Flushed at
-            // the latest when the enclosing public call returns.
-            if !self.batch_rows.is_empty()
-                && tick != self.batch_start + (self.batch_rows.len() / self.n_streams) as u64
-            {
-                self.flush_batch();
-            }
-            if self.batch_rows.is_empty() {
-                self.batch_start = tick;
-            }
-            self.batch_rows.extend_from_slice(&self.row);
-            if self.batch_rows.len() / self.n_streams >= MAX_BATCH_TICKS {
-                self.flush_batch();
-            }
-            return;
-        }
-        // Degraded tick: advance everything staged before it, then take
-        // the per-tick masked path.
-        self.flush_batch();
-        let controller = &mut self.controller;
-        let (row, mask) = (&self.row, &self.mask);
-        let t0 = self.clock.now_ns();
-        let n_new = controller.step_masked(tick as usize, row, mask);
-        self.counters.step.record_ns(self.clock.now_ns().saturating_sub(t0));
         self.counters.ticks_processed += 1;
         let actions = self.controller.actions();
         for action in &actions[actions.len() - n_new..] {
             self.events.push(EngineEvent::Decision { tick, action: *action });
-        }
-    }
-
-    /// Runs the controller over the staged block of unmasked ticks and
-    /// attributes the emitted actions back to their ticks.
-    fn flush_batch(&mut self) {
-        if self.batch_rows.is_empty() {
-            return;
-        }
-        let n_ticks = self.batch_rows.len() / self.n_streams;
-        self.batch_counts.clear();
-        let rows = std::mem::take(&mut self.batch_rows);
-        let t0 = self.clock.now_ns();
-        let total =
-            self.controller.step_batch(self.batch_start as usize, &rows, &mut self.batch_counts);
-        self.counters.step.record_ns(self.clock.now_ns().saturating_sub(t0));
-        self.batch_rows = rows;
-        self.batch_rows.clear();
-        self.counters.ticks_processed += n_ticks as u64;
-        let actions = self.controller.actions();
-        let mut next = actions.len() - total;
-        for (i, &count) in self.batch_counts.iter().enumerate() {
-            let tick = self.batch_start + i as u64;
-            for action in &actions[next..next + count] {
-                self.events.push(EngineEvent::Decision { tick, action: *action });
-            }
-            next += count;
         }
     }
 
@@ -1047,9 +969,7 @@ impl<'a> StreamingEngine<'a> {
             clock: Arc::new(WallClock),
             telemetry: Telemetry::disabled(),
             groups,
-            batch_rows: Vec::new(),
-            batch_start: 0,
-            batch_counts: Vec::new(),
+            drain_t0: None,
         })
     }
 }

@@ -5,9 +5,10 @@
 # registry crates at all), so this must succeed on a machine with zero
 # network access. Warnings are promoted to errors.
 #
-# `--workspace` matters: the root manifest is both the workspace and
-# the `fadewich` facade package, so a bare `cargo test` would cover
-# only the facade.
+# The root manifest is both the workspace and the `fadewich` facade
+# package; its `default-members` list every crate, so a bare
+# `cargo test` covers the whole workspace too. `--workspace` keeps
+# that explicit.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -128,8 +129,7 @@ done
 grep -q '"schema": "fadewich-bench-v1"' "$workdir/bench1.json"
 grep -q '"matches_reference": true' "$workdir/bench1.json"
 grep -q '"matches_owned": true' "$workdir/bench1.json"
-for name in engine wire_decode wire_decode_borrowed mac_verify \
-    md_step_reference md_step_fast \
+for name in engine wire_decode wire_decode_borrowed mac_verify md_step \
     svm_predict_scalar svm_predict_batch kde_fit fleet_demux \
     controller_tick_allocs engine_ingest_allocs; do
     grep -q "\"name\": \"$name\"" "$workdir/bench1.json"
@@ -144,7 +144,7 @@ cmp "$workdir/bench1.nowall" "$workdir/bench2.nowall"
 # full-size workload fields legitimately differ from a smoke run's,
 # so that leg only checks no benchmark row silently disappeared.
 scripts/bench_diff.sh "$workdir/bench1.json" "$workdir/bench2.json"
-scripts/bench_diff.sh --rows-only BENCH_2026-10-17.json "$workdir/bench1.json"
+scripts/bench_diff.sh --rows-only BENCH_2026-10-18.json "$workdir/bench1.json"
 
 # Span-profile gate: `reproduce profile` folds tick-stamped spans, so
 # the whole report is logical-time only and must be byte-identical
