@@ -153,7 +153,9 @@ pub struct ControllerState {
     pub system_state: SystemState,
     /// Per-workstation session flags, in workstation order.
     pub sessions: Vec<SessionState>,
-    /// Per-stream RSSI feature histories, in stream order.
+    /// Per-stream RSSI feature histories, in stream order: the
+    /// controller's one lockstep buffer split per stream, so every
+    /// entry shares capacity, sample count and push count.
     pub histories: Vec<HistoryState>,
     /// Whether Rule 1 already fired for the current window.
     pub rule1_done: bool,
@@ -190,7 +192,8 @@ pub struct Controller<'a> {
     kma: Kma<'a>,
     state: SystemState,
     sessions: Vec<WsSession>,
-    histories: Vec<HistoryBuffer>,
+    /// Every RSSI stream's recent samples, one row per tick.
+    history: HistoryBuffer,
     /// Rule 1 fires once per window.
     rule1_done: bool,
     actions: Vec<Action>,
@@ -268,7 +271,7 @@ impl<'a> Controller<'a> {
             sessions: vec![WsSession::fresh(); kma.n_workstations()],
             kma,
             state: SystemState::Quiet,
-            histories: vec![HistoryBuffer::new(history_len.max(8)); n_streams],
+            history: HistoryBuffer::with_width(n_streams, history_len.max(8)),
             rule1_done: false,
             actions: Vec::new(),
             prev_t: 0.0,
@@ -326,7 +329,7 @@ impl<'a> Controller<'a> {
                     screensaver_on: s.screensaver_on,
                 })
                 .collect(),
-            histories: self.histories.iter().map(HistoryBuffer::state).collect(),
+            histories: self.history.states(),
             rule1_done: self.rule1_done,
             lights: self.lights.iter().map(LightDetector::state).collect(),
             last_window_tick: self.last_window_tick,
@@ -355,7 +358,8 @@ impl<'a> Controller<'a> {
     /// errors, plus a description when the state disagrees with the
     /// collaborators (workstation or stream counts, history capacity)
     /// or is internally inconsistent (non-finite `prev_t`, FSM and
-    /// `rule1_done` out of sync, sessions logged out yet alerted).
+    /// `rule1_done` out of sync, sessions logged out yet alerted,
+    /// stream histories out of lockstep).
     pub fn from_runtime_state(
         n_streams: usize,
         tick_hz: f64,
@@ -431,17 +435,17 @@ impl<'a> Controller<'a> {
                 state.histories.len()
             ));
         }
-        let expected_cap = ctl.histories[0].capacity();
-        let mut histories = Vec::with_capacity(n_streams);
-        for (i, h) in state.histories.iter().enumerate() {
-            if h.capacity != expected_cap {
-                return Err(format!(
-                    "stream {i} history capacity {} disagrees with params ({expected_cap})",
-                    h.capacity
-                ));
-            }
-            histories.push(HistoryBuffer::from_state(h).map_err(|e| format!("stream {i}: {e}"))?);
+        let expected_cap = ctl.history.capacity();
+        if let Some((i, h)) =
+            state.histories.iter().enumerate().find(|(_, h)| h.capacity != expected_cap)
+        {
+            return Err(format!(
+                "stream {i} history capacity {} disagrees with params ({expected_cap})",
+                h.capacity
+            ));
         }
+        let history =
+            HistoryBuffer::from_states(&state.histories).map_err(|e| format!("history: {e}"))?;
         if !state.prev_t.is_finite() || state.prev_t < 0.0 {
             return Err(format!("prev_t {} is not a valid day time", state.prev_t));
         }
@@ -462,7 +466,7 @@ impl<'a> Controller<'a> {
                 screensaver_on: s.screensaver_on,
             })
             .collect();
-        ctl.histories = histories;
+        ctl.history = history;
         ctl.rule1_done = state.rule1_done;
         ctl.prev_t = state.prev_t;
         Ok(ctl)
@@ -510,9 +514,7 @@ impl<'a> Controller<'a> {
     fn step_inner(&mut self, tick: usize, row: &[f64], mask: Option<&[bool]>) -> usize {
         let before = self.actions.len();
         let t = tick as f64 / self.tick_hz;
-        for (h, &x) in self.histories.iter_mut().zip(row) {
-            h.push(x);
-        }
+        self.history.push_row(row);
         match mask {
             None => self.md.step(tick, row),
             Some(m) => self.md.step_masked(tick, row, m),
@@ -697,7 +699,7 @@ impl<'a> Controller<'a> {
         // The window and feature scratch make an untraced evaluation
         // allocation-free at steady state.
         if !extract_features_from_histories_into(
-            &self.histories,
+            std::slice::from_ref(&self.history),
             start as u64,
             self.tick_hz,
             &self.params,
@@ -1149,6 +1151,14 @@ mod tests {
         let mut bad = good.clone();
         bad.histories[0].capacity += 1;
         assert!(rebuild(&bad).is_err());
+        // Per-stream histories out of lockstep: one stream pushed once
+        // more, or retaining one sample fewer, than the others.
+        let mut bad = good.clone();
+        bad.histories[1].total += 1;
+        assert!(rebuild(&bad).unwrap_err().contains("lockstep"));
+        let mut bad = good.clone();
+        bad.histories[3].samples.pop();
+        assert!(rebuild(&bad).unwrap_err().contains("lockstep"));
         // Non-finite prev_t.
         let mut bad = good.clone();
         bad.prev_t = f64::NAN;

@@ -65,13 +65,15 @@ pub fn feature_names(link_ids: &[LinkId], streams: &[usize]) -> Vec<String> {
 }
 
 /// Extracts the same features as [`extract_features`], but from the
-/// online per-stream history buffers the controller maintains instead
-/// of a recorded trace. The window samples land in `win_buf` and the
-/// features are appended to a cleared `out`, so once both buffers have
-/// reached steady-state capacity a call performs no feature-vector or
-/// window allocation. Returns `false` (leaving `out` empty) if the
-/// window has already been evicted from history (the buffers are sized
-/// so this cannot happen during normal operation).
+/// online history buffers the controller maintains instead of a
+/// recorded trace: every stream of every buffer, in order (the
+/// controller passes one buffer as wide as its stream set). The window
+/// samples land in `win_buf` and the features are appended to a
+/// cleared `out`, so once both buffers have reached steady-state
+/// capacity a call performs no feature-vector or window allocation.
+/// Returns `false` (leaving `out` empty) if the window has already been
+/// evicted from history (the buffers are sized so this cannot happen
+/// during normal operation).
 pub fn extract_features_from_histories_into(
     histories: &[fadewich_stats::rolling::HistoryBuffer],
     t1_tick: u64,
@@ -85,13 +87,15 @@ pub fn extract_features_from_histories_into(
         let t_end = (t1_tick + params.feature_window_ticks(tick_hz) as u64)
             .min(h.total_pushed())
             .max(t1_tick + 2);
-        if !h.range_into(t1_tick, t_end, win_buf) {
-            out.clear();
-            return false;
+        for stream in 0..h.width() {
+            if !h.range_into(stream, t1_tick, t_end, win_buf) {
+                out.clear();
+                return false;
+            }
+            out.push(descriptive::variance(win_buf));
+            out.push(Histogram::of_data(win_buf, params.entropy_bins).entropy_bits());
+            out.push(autocorr::mean_acf(win_buf, params.acf_max_lag));
         }
-        out.push(descriptive::variance(win_buf));
-        out.push(Histogram::of_data(win_buf, params.entropy_bins).entropy_bits());
-        out.push(autocorr::mean_acf(win_buf, params.acf_max_lag));
     }
     true
 }
@@ -182,15 +186,17 @@ mod tests {
         tick_hz: f64,
         params: &FadewichParams,
     ) -> Option<Vec<f64>> {
-        let mut features = Vec::with_capacity(histories.len() * FEATURES_PER_STREAM);
+        let mut features = Vec::new();
         for h in histories {
             let t_end = (t1_tick + params.feature_window_ticks(tick_hz) as u64)
                 .min(h.total_pushed())
                 .max(t1_tick + 2);
-            let window = h.range(t1_tick, t_end)?;
-            features.push(descriptive::variance(&window));
-            features.push(Histogram::of_data(&window, params.entropy_bins).entropy_bits());
-            features.push(autocorr::mean_acf(&window, params.acf_max_lag));
+            for stream in 0..h.width() {
+                let window = h.range(stream, t1_tick, t_end)?;
+                features.push(descriptive::variance(&window));
+                features.push(Histogram::of_data(&window, params.entropy_bins).entropy_bits());
+                features.push(autocorr::mean_acf(&window, params.acf_max_lag));
+            }
         }
         Some(features)
     }
@@ -225,6 +231,59 @@ mod tests {
             &histories, 2, 5.0, &params, &mut win_buf, &mut out
         ));
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn one_lockstep_buffer_extracts_what_per_stream_buffers_do() {
+        // The controller's history is one width-72 buffer; the features
+        // must carry the bits 72 single-stream buffers gave, including
+        // after the ring wrapped and at a window cut short by the
+        // newest tick.
+        use fadewich_stats::rolling::HistoryBuffer;
+        const N: usize = 72;
+        let mut rng = Rng::seed_from_u64(3);
+        let params = FadewichParams::default();
+        let mut wide = HistoryBuffer::with_width(N, 90);
+        let mut narrow: Vec<HistoryBuffer> = (0..N).map(|_| HistoryBuffer::new(90)).collect();
+        let mut row = vec![0.0; N];
+        let (mut win_buf, mut out) = (Vec::new(), Vec::new());
+        let (mut narrow_win, mut narrow_out) = (Vec::new(), Vec::new());
+        for tick in 0..400u64 {
+            let sd = if (200..260).contains(&tick) { 4.0 } else { 0.6 };
+            for x in row.iter_mut() {
+                *x = -50.0 + rng.normal() * sd;
+            }
+            wide.push_row(&row);
+            for (h, &x) in narrow.iter_mut().zip(&row) {
+                h.push(x);
+            }
+            if tick % 7 != 0 {
+                continue;
+            }
+            for t1 in [tick.saturating_sub(60), tick.saturating_sub(3), tick.saturating_sub(95)] {
+                let ok = extract_features_from_histories_into(
+                    std::slice::from_ref(&wide),
+                    t1,
+                    5.0,
+                    &params,
+                    &mut win_buf,
+                    &mut out,
+                );
+                let want = extract_features_from_histories_into(
+                    &narrow,
+                    t1,
+                    5.0,
+                    &params,
+                    &mut narrow_win,
+                    &mut narrow_out,
+                );
+                assert_eq!(ok, want, "tick {tick} t1 {t1}");
+                assert_eq!(out.len(), narrow_out.len());
+                for (a, b) in out.iter().zip(&narrow_out) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "tick {tick} t1 {t1}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -63,7 +63,8 @@ fn quiet_untraced_ticks_do_not_allocate_at_steady_state() {
     let mut ctl = Controller::new(N_STREAMS, TICK_HZ, params, &re, kma).unwrap();
 
     // Quiet RSSI only: the claim is about the steady-state loop, not
-    // window bookkeeping (the fastpath pin suite covers busy days).
+    // window bookkeeping (crates/runtime/tests/cross_version_pin.rs
+    // covers busy days).
     let warm = 600usize;
     let measured = 300usize;
     let rows: Vec<f64> =

@@ -195,12 +195,14 @@ pub struct RuntimeCounters {
     /// by [`ChannelKind::index`]. Pure-RSSI deployments leave every
     /// non-RSSI slot empty, and the summary then omits the breakdown.
     pub channels: [ChannelCounters; ChannelKind::COUNT],
-    /// Wire-decode stage latency.
+    /// Wire-decode stage latency, one sample per decoded frame. The
+    /// engine samples it only while telemetry is enabled.
     pub decode: LatencyHisto,
     /// Pipeline (row assembly, MD → RE → Controller) latency, one
     /// sample per drain of closed ticks: an ingest call that closes
     /// several ticks records the span from its first closed tick to
-    /// its return.
+    /// its return. The engine samples it only while telemetry is
+    /// enabled.
     pub step: LatencyHisto,
 }
 
@@ -299,16 +301,30 @@ impl RuntimeCounters {
     }
 
     /// The wall-clock latency line: the only non-deterministic part of
-    /// the summary.
+    /// the summary. A histogram without samples (telemetry off, or
+    /// nothing decoded or closed) prints `not sampled` rather than a
+    /// zero latency that was never measured.
     pub fn latency_summary(&self) -> String {
-        format!(
-            "latency     decode mean {} ns (p99 < {} us)  step mean {} ns (p99 < {} us, max {} us)",
-            self.decode.mean_ns(),
-            self.decode.quantile_us(0.99),
-            self.step.mean_ns(),
-            self.step.quantile_us(0.99),
-            self.step.max_ns() / 1000
-        )
+        let decode = if self.decode.count() == 0 {
+            "decode not sampled".to_string()
+        } else {
+            format!(
+                "decode mean {} ns (p99 < {} us)",
+                self.decode.mean_ns(),
+                self.decode.quantile_us(0.99)
+            )
+        };
+        let step = if self.step.count() == 0 {
+            "step not sampled".to_string()
+        } else {
+            format!(
+                "step mean {} ns (p99 < {} us, max {} us)",
+                self.step.mean_ns(),
+                self.step.quantile_us(0.99),
+                self.step.max_ns() / 1000
+            )
+        };
+        format!("latency     {decode}  {step}")
     }
 
     /// JSON object with every counter and both histograms. The
@@ -485,6 +501,23 @@ mod tests {
         for needle in ["frames", "ticks", "sensors", "latency", "watermark lag"] {
             assert!(s.contains(needle), "summary missing {needle}: {s}");
         }
+    }
+
+    #[test]
+    fn empty_latency_histograms_say_not_sampled() {
+        let mut c = RuntimeCounters::default();
+        assert_eq!(c.latency_summary(), "latency     decode not sampled  step not sampled");
+        c.decode.record_ns(1_500);
+        assert_eq!(
+            c.latency_summary(),
+            "latency     decode mean 1500 ns (p99 < 2 us)  step not sampled"
+        );
+        c.step.record_ns(2_500_000);
+        assert_eq!(
+            c.latency_summary(),
+            "latency     decode mean 1500 ns (p99 < 2 us)  \
+             step mean 2500000 ns (p99 < 4096 us, max 2500 us)"
+        );
     }
 
     #[test]

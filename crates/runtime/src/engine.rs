@@ -28,13 +28,18 @@
 //! assembled from the slot in place, and the tick advances the
 //! controller through exactly one [`Controller::step`] —
 //! [`Controller::step_masked`] when a stream is masked — plus
-//! [`Controller::observe_light`] for a light suffix. The wall-time
-//! `step` histogram takes one sample per drain — per public call that
-//! closes ticks, from its first closed tick to its return — so the
-//! clock is not read per tick. The trusted
+//! [`Controller::observe_light`] for a light suffix. The tick's slot
+//! then goes back to the reorder buffer for reuse. The trusted
 //! [`StreamingEngine::ingest_frame`] funnels into the same core. Past
-//! warm-up a tick's only heap traffic is its slot (three allocation
-//! calls), as `tests/alloc_ingest.rs` pins.
+//! warm-up a lossless tick makes no heap allocation except at
+//! Algorithm-1 batch flushes, as `tests/alloc_ingest.rs` pins.
+//!
+//! The wall-time `decode` and `step` latency histograms are sampled
+//! only while telemetry is enabled ([`StreamingEngine::set_telemetry`]):
+//! `decode` times each frame's decode, and `step` takes one sample per
+//! drain — per public call that closes ticks, from its first closed
+//! tick to its return. With telemetry disabled the engine never reads
+//! its clock, and both histograms stay empty.
 //!
 //! The engine has two **authentication modes**. By default it runs
 //! legacy-unauthenticated: v1–v3 frames are accepted exactly as every
@@ -343,12 +348,14 @@ pub struct StreamingEngine<'a> {
     auth_state: Vec<SensorAuthState>,
     /// Latency-stage time source. Wall clock by default; tests inject
     /// a [`fadewich_telemetry::ManualClock`] to make latency numbers
-    /// deterministic. Never consulted on any decision path.
+    /// deterministic. Read only while telemetry is enabled, and never
+    /// consulted on any decision path.
     clock: Arc<dyn Clock>,
     telemetry: Telemetry,
-    /// Clock reading at the first tick the current public call closed;
-    /// the call records one `step` sample from it before returning, so
-    /// this is `None` between calls and never checkpointed.
+    /// Clock reading at the first tick the current public call closed
+    /// (with telemetry enabled); the call records one `step` sample from
+    /// it before returning, so this is `None` between calls and never
+    /// checkpointed.
     drain_t0: Option<u64>,
 }
 
@@ -465,8 +472,9 @@ impl<'a> StreamingEngine<'a> {
     }
 
     /// Replaces the latency time source (tests inject a manual clock).
-    /// Latency histograms are observability only — the clock is never
-    /// consulted on a decision path.
+    /// Latency histograms are observability only, sampled only while
+    /// telemetry is enabled: with the default disabled handle the clock
+    /// is never read, and it is never consulted on a decision path.
     pub fn set_clock(&mut self, clock: Arc<dyn Clock>) {
         self.clock = clock;
     }
@@ -508,9 +516,11 @@ impl<'a> StreamingEngine<'a> {
     pub fn ingest_bytes(&mut self, mut bytes: &[u8]) {
         while !bytes.is_empty() {
             self.counters.bytes_in += bytes.len() as u64;
-            let t0 = self.clock.now_ns();
+            let t0 = self.telemetry.is_enabled().then(|| self.clock.now_ns());
             let decoded = Frame::decode_borrowed(bytes);
-            self.counters.decode.record_ns(self.clock.now_ns().saturating_sub(t0));
+            if let Some(t0) = t0 {
+                self.counters.decode.record_ns(self.clock.now_ns().saturating_sub(t0));
+            }
             match decoded {
                 Ok((view, used)) => {
                     self.counters.bytes_in -= (bytes.len() - used) as u64;
@@ -655,7 +665,7 @@ impl<'a> StreamingEngine<'a> {
         self.reorder.begin_poll();
         self.absorb_reorder_events();
         while let Some(closed) = self.reorder.pop_closed() {
-            self.process_tick(&closed);
+            self.process_tick(closed);
         }
     }
 
@@ -667,18 +677,19 @@ impl<'a> StreamingEngine<'a> {
         self.process_closed();
         if let Some(last) = self.reorder.flush_horizon() {
             while let Some(closed) = self.reorder.pop_through(last) {
-                self.process_tick(&closed);
+                self.process_tick(closed);
             }
         }
         while self.counters.ticks_processed < expected_ticks {
             let tick = self.counters.ticks_processed;
-            self.process_tick(&ClosedTick::missing(tick));
+            self.process_tick(ClosedTick::missing(tick));
         }
         self.record_drain();
     }
 
     /// Records the wall time since the first tick this call closed as
-    /// one `step` sample. A call that closed no tick reads no clock.
+    /// one `step` sample. A call that closed no tick, or ran with
+    /// telemetry off, reads no clock.
     fn record_drain(&mut self) {
         if let Some(t0) = self.drain_t0.take() {
             self.counters.step.record_ns(self.clock.now_ns().saturating_sub(t0));
@@ -724,8 +735,10 @@ impl<'a> StreamingEngine<'a> {
         }
     }
 
-    fn process_tick(&mut self, closed: &ClosedTick) {
-        if self.drain_t0.is_none() {
+    /// Advances the pipeline by one closed tick, then hands the tick's
+    /// slot back to the reorder buffer for reuse.
+    fn process_tick(&mut self, closed: ClosedTick) {
+        if self.drain_t0.is_none() && self.telemetry.is_enabled() {
             self.drain_t0 = Some(self.clock.now_ns());
         }
         let tick = closed.tick;
@@ -783,6 +796,7 @@ impl<'a> StreamingEngine<'a> {
         for action in &actions[actions.len() - n_new..] {
             self.events.push(EngineEvent::Decision { tick, action: *action });
         }
+        self.reorder.recycle(closed);
     }
 
     /// Everything the controller has done so far.
@@ -1066,6 +1080,61 @@ mod tests {
                 positions.iter().map(|_| -50.0 + rng.normal() as f32 * 0.6).collect();
             engine.ingest_frame(Frame::rssi(sensor, tick as u32, tick, values));
         }
+    }
+
+    /// A clock that counts its reads (each read advances it 1 µs).
+    #[derive(Debug, Default)]
+    struct CountingClock(std::sync::atomic::AtomicU64);
+
+    impl Clock for CountingClock {
+        fn now_ns(&self) -> u64 {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed) * 1_000
+        }
+    }
+
+    #[test]
+    fn clock_is_read_only_with_telemetry_enabled() {
+        let re = tiny_re(4);
+        let inputs = quiet_inputs();
+        // A lossless 60-tick day of v1 wire frames, one per call.
+        let mut frames = Vec::new();
+        for t in 0..60u64 {
+            let mut rng = Rng::task_stream(99, t);
+            for (sensor, positions) in groups() {
+                let values = positions.iter().map(|_| -50.0 + rng.normal() as f32 * 0.6).collect();
+                frames.push(Frame::rssi(sensor, t as u32, t, values).encode());
+            }
+        }
+        // (clock reads, calls that closed a tick, counters, actions)
+        let run = |telemetry: Telemetry| {
+            let clock = Arc::new(CountingClock::default());
+            let mut e =
+                StreamingEngine::new(engine_cfg(), groups(), &re, Kma::new(&inputs)).unwrap();
+            e.set_telemetry(telemetry);
+            e.set_clock(clock.clone());
+            let mut closing_calls = 0u64;
+            for bytes in &frames {
+                let before = e.counters().ticks_processed;
+                e.ingest_bytes(bytes);
+                closing_calls += u64::from(e.counters().ticks_processed > before);
+            }
+            let reads = clock.0.load(std::sync::atomic::Ordering::Relaxed);
+            (reads, closing_calls, e.counters().clone(), e.actions().to_vec())
+        };
+        let (reads, _, off, off_actions) = run(Telemetry::disabled());
+        assert_eq!(reads, 0, "telemetry off, yet the clock was read");
+        assert_eq!((off.decode.count(), off.step.count()), (0, 0));
+        assert_eq!(off.ticks_processed, 60);
+
+        // Metrics on: two reads per decoded frame plus two per call
+        // that closed a tick, one sample each.
+        let (reads, closing_calls, on, on_actions) = run(Telemetry::metrics_only());
+        assert_eq!(on.frames_in, 120);
+        assert_eq!(closing_calls, 60);
+        assert_eq!(reads, 2 * on.frames_in + 2 * closing_calls);
+        assert_eq!((on.decode.count(), on.step.count()), (on.frames_in, closing_calls));
+        assert_eq!(on.deterministic_summary(), off.deterministic_summary());
+        assert_eq!(on_actions, off_actions);
     }
 
     #[test]

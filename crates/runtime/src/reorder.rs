@@ -40,15 +40,18 @@
 //!
 //! Each pending tick is one boxed slot: a single `Vec<f32>` payload
 //! holding every delivered sender's samples, plus a per-sender
-//! `(start, len)` span into it. A tick therefore costs three heap
-//! allocations however many senders report (the box, the spans and the
-//! payload, which is pre-sized from the largest slot seen so far), and
-//! the map's value stays one pointer wide. Inside the crate, a poll is
-//! `begin_poll` followed by `pop_closed` until it returns `None`; each
-//! `ClosedTick` hands its slot to the engine, which reads the samples
-//! in place. [`ReorderBuffer::push`], [`ReorderBuffer::poll`] and
-//! [`ReorderBuffer::flush`] are thin adapters over the same core that
-//! copy slots into owned [`TickBundle`]s.
+//! `(start, len)` span into it, so the map's value stays one pointer
+//! wide. Inside the crate, a poll is `begin_poll` followed by
+//! `pop_closed` until it returns `None`; each `ClosedTick` hands its
+//! slot to the engine, which reads the samples in place and gives the
+//! tick back through `recycle`. A recycled slot is cleared and kept as
+//! a spare for the next new tick, up to `jitter_ticks + 1` spares, so
+//! a steady stream reuses the same few slots and a tick costs no heap
+//! allocation; a burst of far-future ticks allocates fresh slots and
+//! the excess is freed as they close. [`ReorderBuffer::push`],
+//! [`ReorderBuffer::poll`] and [`ReorderBuffer::flush`] are thin
+//! adapters over the same core that copy slots into owned
+//! [`TickBundle`]s (and recycle them too).
 //!
 //! Polling is O(1) while nothing changes. The global frontier is cached
 //! (advanced in `push`, recomputed on restore), a slot whose senders
@@ -172,6 +175,13 @@ impl Slot {
         Slot { values: Vec::with_capacity(capacity), spans: vec![None; n_senders], delivered: 0 }
     }
 
+    /// Empties the slot for reuse, keeping its allocations.
+    fn clear(&mut self) {
+        self.values.clear();
+        self.spans.fill(None);
+        self.delivered = 0;
+    }
+
     /// Stores `sender`'s samples; the caller has checked that it has
     /// not delivered yet.
     fn fill(&mut self, sender: usize, samples: impl IntoIterator<Item = f32>) {
@@ -195,7 +205,8 @@ impl Slot {
 }
 
 /// A tick the watermark has closed, popped with its slot. The caller
-/// reads each sender's samples in place; dropping it frees the slot.
+/// reads each sender's samples in place, then hands it back through
+/// `ReorderBuffer::recycle` (dropping it instead frees the slot).
 #[derive(Debug)]
 pub(crate) struct ClosedTick {
     /// The tick that closed.
@@ -219,7 +230,7 @@ impl ClosedTick {
         self.slot.as_ref()?.report(sender)
     }
 
-    fn into_bundle(self, n_senders: usize) -> TickBundle {
+    fn bundle(&self, n_senders: usize) -> TickBundle {
         let reports = match &self.slot {
             Some(slot) => slot.reports(),
             None => vec![None; n_senders],
@@ -234,6 +245,11 @@ pub struct ReorderBuffer {
     cfg: ReorderConfig,
     /// Buffered slots per tick (sparse; only ticks ≥ `next_emit`).
     pending: BTreeMap<u64, Box<Slot>>,
+    /// Cleared slots of closed ticks, reused by the next new ticks; at
+    /// most `jitter_ticks + 1` are kept. Not part of [`ReorderState`].
+    /// Kept boxed so a spare moves into `pending` without allocating.
+    #[allow(clippy::vec_box)]
+    spare: Vec<Box<Slot>>,
     /// Next tick to emit.
     next_emit: u64,
     /// Highest tick seen per sender (`None` before its first frame).
@@ -277,6 +293,7 @@ impl ReorderBuffer {
         assert!(cfg.n_senders > 0, "need at least one sender");
         ReorderBuffer {
             pending: BTreeMap::new(),
+            spare: Vec::new(),
             next_emit: 0,
             frontier: vec![None; cfg.n_senders],
             global: None,
@@ -352,7 +369,7 @@ impl ReorderBuffer {
     }
 
     /// Offers one decoded frame, copying its samples into the tick's
-    /// slot (allocated on the tick's first frame).
+    /// slot (a spare, or a new one, taken on the tick's first frame).
     ///
     /// # Panics
     ///
@@ -393,8 +410,10 @@ impl ReorderBuffer {
             return PushOutcome::Late;
         }
         let (n_senders, capacity) = (self.cfg.n_senders, self.slot_capacity);
-        let slot =
-            self.pending.entry(tick).or_insert_with(|| Box::new(Slot::new(n_senders, capacity)));
+        let spare = &mut self.spare;
+        let slot = self.pending.entry(tick).or_insert_with(|| {
+            spare.pop().unwrap_or_else(|| Box::new(Slot::new(n_senders, capacity)))
+        });
         if slot.spans[sender].is_some() {
             self.duplicates += 1;
             return PushOutcome::Duplicate;
@@ -536,13 +555,26 @@ impl ReorderBuffer {
         ClosedTick { tick, slot }
     }
 
+    /// Takes a popped tick back: its slot is cleared and kept as a
+    /// spare while fewer than `jitter_ticks + 1` are, and freed
+    /// otherwise.
+    pub(crate) fn recycle(&mut self, closed: ClosedTick) {
+        if let Some(mut slot) = closed.slot {
+            if (self.spare.len() as u64) <= self.cfg.jitter_ticks {
+                slot.clear();
+                self.spare.push(slot);
+            }
+        }
+    }
+
     /// Emits every tick the watermark has closed, in order: an adapter
     /// over `begin_poll` and `pop_closed`.
     pub fn poll(&mut self) -> Vec<TickBundle> {
         self.begin_poll();
         let mut out = Vec::new();
         while let Some(closed) = self.pop_closed() {
-            out.push(closed.into_bundle(self.cfg.n_senders));
+            out.push(closed.bundle(self.cfg.n_senders));
+            self.recycle(closed);
         }
         out
     }
@@ -628,6 +660,7 @@ impl ReorderBuffer {
         }
         Ok(ReorderBuffer {
             pending,
+            spare: Vec::new(),
             next_emit: state.next_emit,
             frontier: state.frontier.clone(),
             global: state.frontier.iter().flatten().copied().max(),
@@ -654,7 +687,8 @@ impl ReorderBuffer {
         let mut out = self.poll();
         if let Some(last) = self.flush_horizon() {
             while let Some(closed) = self.pop_through(last) {
-                out.push(closed.into_bundle(self.cfg.n_senders));
+                out.push(closed.bundle(self.cfg.n_senders));
+                self.recycle(closed);
             }
         }
         out
@@ -844,6 +878,28 @@ mod tests {
         assert_eq!(closed.report(2), Some(&[7.0, 8.0][..]));
         assert!(rb.pop_closed().is_none());
         assert_eq!(ClosedTick::missing(5).report(0), None);
+    }
+
+    #[test]
+    fn popped_slots_are_reused_cleared_and_capped() {
+        // Ten ticks pending at once hold ten slots; once they close
+        // only jitter + 1 = 3 stay as spares.
+        let mut rb = ReorderBuffer::new(cfg(2, 2));
+        for t in 0..10u64 {
+            rb.push(0, t as u32, t, payload(t as f32));
+            rb.push(1, t as u32, t, payload(-(t as f32)));
+        }
+        assert_eq!(rb.pending.len(), 10);
+        assert_eq!(rb.poll().len(), 10);
+        assert_eq!(rb.spare.len(), 3);
+        // A reused slot starts empty: sender 1's span from the slot's
+        // last tick must not leak into tick 10, which it never sent.
+        rb.push(0, 10, 10, payload(5.0));
+        assert_eq!(rb.spare.len(), 2);
+        let out = rb.flush();
+        assert_eq!(out, vec![TickBundle { tick: 10, reports: vec![Some(payload(5.0)), None] }]);
+        assert_eq!(rb.spare.len(), 3);
+        assert!(rb.spare.iter().all(|s| s.values.is_empty() && s.delivered == 0));
     }
 
     #[test]

@@ -558,10 +558,10 @@ impl RollingStdBatch {
     }
 }
 
-/// The complete runtime state of a [`HistoryBuffer`], exportable for
-/// crash-safe checkpointing. `total` anchors the absolute indexing of
-/// [`HistoryBuffer::range`], so a restored buffer answers exactly the
-/// queries the original would.
+/// The runtime state of one stream of a [`HistoryBuffer`], exportable
+/// for crash-safe checkpointing. `total` anchors the absolute indexing
+/// of [`HistoryBuffer::range`], so a restored buffer answers exactly
+/// the queries the original would.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HistoryState {
     /// Buffer capacity the state was captured from.
@@ -572,37 +572,72 @@ pub struct HistoryState {
     pub total: u64,
 }
 
-/// A ring buffer that keeps the most recent `capacity` samples and can
-/// hand out arbitrary recent slices by age.
+/// A ring buffer that keeps the most recent `capacity` rows of `width`
+/// lockstep streams and can hand out arbitrary recent slices of one
+/// stream by age.
 ///
 /// RE needs, when a variation window is confirmed, the RSSI samples of
 /// `[t1, t1 + t∆]` — i.e. a slice *into the past* of each stream. The
-/// online pipeline keeps one `HistoryBuffer` per stream instead of the
-/// whole trace.
+/// online pipeline keeps one buffer as wide as the stream set instead
+/// of the whole trace, so a tick is one row copy. Rows are stored
+/// row-major; every stream shares the ring's head, length and push
+/// count, which is what lets the checkpoint form stay one
+/// [`HistoryState`] per stream ([`HistoryBuffer::states`] /
+/// [`HistoryBuffer::from_states`]).
 #[derive(Debug, Clone)]
 pub struct HistoryBuffer {
+    /// Row `r` occupies `buf[r * width..(r + 1) * width]`.
     buf: Vec<f64>,
+    width: usize,
     capacity: usize,
     head: usize,
     len: usize,
-    /// Total number of samples ever pushed; the index of the next push.
+    /// Total number of rows ever pushed; the index of the next push.
     total: u64,
 }
 
 impl HistoryBuffer {
-    /// Creates a buffer remembering the last `capacity` samples.
+    /// Creates a single-stream buffer remembering the last `capacity`
+    /// samples.
     ///
     /// # Panics
     ///
     /// Panics if `capacity == 0`.
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "history capacity must be positive");
-        HistoryBuffer { buf: vec![0.0; capacity], capacity, head: 0, len: 0, total: 0 }
+        HistoryBuffer::with_width(1, capacity)
     }
 
-    /// Appends a sample.
+    /// Creates a buffer of `width` lockstep streams remembering the
+    /// last `capacity` rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width == 0`, `capacity == 0` or `width × capacity`
+    /// overflows `usize`.
+    pub fn with_width(width: usize, capacity: usize) -> Self {
+        assert!(width > 0, "history width must be positive");
+        assert!(capacity > 0, "history capacity must be positive");
+        let buf = vec![0.0; width.checked_mul(capacity).expect("history size overflows usize")];
+        HistoryBuffer { buf, width, capacity, head: 0, len: 0, total: 0 }
+    }
+
+    /// Appends a sample to a single-stream buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the buffer is wider than one stream.
     pub fn push(&mut self, x: f64) {
-        self.buf[self.head] = x;
+        self.push_row(&[x]);
+    }
+
+    /// Appends one sample per stream.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row.len()` differs from the width.
+    pub fn push_row(&mut self, row: &[f64]) {
+        let start = self.head * self.width;
+        self.buf[start..start + self.width].copy_from_slice(row);
         self.head += 1;
         if self.head == self.capacity {
             self.head = 0;
@@ -613,17 +648,22 @@ impl HistoryBuffer {
         self.total += 1;
     }
 
-    /// Total number of samples ever pushed.
+    /// Total number of rows ever pushed.
     pub fn total_pushed(&self) -> u64 {
         self.total
     }
 
-    /// The fixed capacity this buffer was created with.
+    /// Number of lockstep streams.
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// The fixed capacity (in rows) this buffer was created with.
     pub fn capacity(&self) -> usize {
         self.capacity
     }
 
-    /// Number of samples currently retained.
+    /// Number of rows currently retained.
     pub fn len(&self) -> usize {
         self.len
     }
@@ -633,97 +673,116 @@ impl HistoryBuffer {
         self.len == 0
     }
 
-    /// Returns samples with absolute indices `[start, end)` (indices
-    /// count from the first push ever), or `None` when the range has
-    /// already been evicted or not yet been produced.
-    pub fn range(&self, start: u64, end: u64) -> Option<Vec<f64>> {
-        if start >= end || end > self.total {
+    /// Ring row holding absolute index `abs` (which must be retained).
+    fn row_of(&self, abs: u64) -> usize {
+        let age = (self.total - 1 - abs) as usize; // 0 = newest
+        (self.head + self.capacity - 1 - age) % self.capacity
+    }
+
+    /// Whether `[start, end)` is non-empty and fully retained.
+    fn retains(&self, start: u64, end: u64) -> bool {
+        start < end && end <= self.total && start >= self.total - self.len as u64
+    }
+
+    /// Returns `stream`'s samples with absolute indices `[start, end)`
+    /// (indices count from the first push ever), or `None` when the
+    /// range has already been evicted or not yet been produced.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stream` is out of range for a retained range.
+    pub fn range(&self, stream: usize, start: u64, end: u64) -> Option<Vec<f64>> {
+        if !self.retains(start, end) {
             return None;
         }
-        let oldest = self.total - self.len as u64;
-        if start < oldest {
-            return None;
-        }
-        let mut out = Vec::with_capacity((end - start) as usize);
-        for abs in start..end {
-            let age = (self.total - 1 - abs) as usize; // 0 = newest
-            let idx = (self.head + self.capacity - 1 - age) % self.capacity;
-            out.push(self.buf[idx]);
-        }
-        Some(out)
+        assert!(stream < self.width, "history stream out of range");
+        Some((start..end).map(|abs| self.buf[self.row_of(abs) * self.width + stream]).collect())
     }
 
     /// Allocation-free variant of [`HistoryBuffer::range`]: clears
-    /// `out` and fills it with the samples at absolute indices
+    /// `out` and fills it with `stream`'s samples at absolute indices
     /// `[start, end)`. Returns `false` (leaving `out` empty) when the
     /// range is unavailable. Beyond `out`'s first growth to the window
     /// length, repeated calls do not touch the allocator.
-    pub fn range_into(&self, start: u64, end: u64, out: &mut Vec<f64>) -> bool {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stream` is out of range for a retained range.
+    pub fn range_into(&self, stream: usize, start: u64, end: u64, out: &mut Vec<f64>) -> bool {
         out.clear();
-        if start >= end || end > self.total {
+        if !self.retains(start, end) {
             return false;
         }
-        let oldest = self.total - self.len as u64;
-        if start < oldest {
-            return false;
-        }
-        for abs in start..end {
-            let age = (self.total - 1 - abs) as usize; // 0 = newest
-            let idx = (self.head + self.capacity - 1 - age) % self.capacity;
-            out.push(self.buf[idx]);
+        assert!(stream < self.width, "history stream out of range");
+        let mut row = self.row_of(start);
+        for _ in start..end {
+            out.push(self.buf[row * self.width + stream]);
+            row += 1;
+            if row == self.capacity {
+                row = 0;
+            }
         }
         true
     }
 
-    /// Copies the retained samples, oldest first.
-    pub fn to_vec(&self) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.len);
-        for i in 0..self.len {
-            out.push(self.buf[(self.head + self.capacity - self.len + i) % self.capacity]);
-        }
-        out
+    /// Exports the full runtime state for checkpointing: one state
+    /// per stream, in stream order, each with the retained samples
+    /// oldest first.
+    pub fn states(&self) -> Vec<HistoryState> {
+        let oldest = self.total - self.len as u64;
+        (0..self.width)
+            .map(|stream| HistoryState {
+                capacity: self.capacity,
+                samples: (oldest..self.total)
+                    .map(|abs| self.buf[self.row_of(abs) * self.width + stream])
+                    .collect(),
+                total: self.total,
+            })
+            .collect()
     }
 
-    /// Exports the full runtime state for checkpointing.
-    pub fn state(&self) -> HistoryState {
-        HistoryState { capacity: self.capacity, samples: self.to_vec(), total: self.total }
-    }
-
-    /// Rebuilds a buffer from an exported state (canonicalized ring
-    /// layout; identical [`HistoryBuffer::range`] answers).
+    /// Rebuilds a buffer from per-stream exported states, one stream
+    /// per state (canonicalized ring layout; identical
+    /// [`HistoryBuffer::range`] answers).
     ///
     /// # Errors
     ///
-    /// Returns a description when the state is inconsistent: zero
-    /// capacity, more samples than capacity, a `total` smaller than the
-    /// sample count, or a partially-filled buffer claiming evictions
-    /// (`total > len` is only possible once the buffer is full).
-    pub fn from_state(state: &HistoryState) -> Result<HistoryBuffer, String> {
-        if state.capacity == 0 {
+    /// Returns a description when the states are inconsistent: none at
+    /// all, streams out of lockstep (differing capacity, sample count
+    /// or push count), zero capacity, more samples than capacity, a
+    /// `total` smaller than the sample count, or a partially-filled
+    /// buffer claiming evictions (`total > len` is only possible once
+    /// the buffer is full).
+    pub fn from_states(states: &[HistoryState]) -> Result<HistoryBuffer, String> {
+        let Some(first) = states.first() else {
+            return Err("history needs at least one stream".to_string());
+        };
+        let shape = |st: &HistoryState| (st.capacity, st.samples.len(), st.total);
+        let (capacity, len, total) = shape(first);
+        if let Some(s) = states.iter().position(|st| shape(st) != (capacity, len, total)) {
+            return Err(format!("stream {s} history is out of lockstep with stream 0"));
+        }
+        if capacity == 0 {
             return Err("history capacity must be positive".to_string());
         }
-        if state.samples.len() > state.capacity {
-            return Err(format!(
-                "history holds {} samples but capacity is {}",
-                state.samples.len(),
-                state.capacity
-            ));
+        if len > capacity {
+            return Err(format!("history holds {len} samples but capacity is {capacity}"));
         }
-        if state.total < state.samples.len() as u64 {
-            return Err(format!(
-                "history claims {} total pushes but retains {} samples",
-                state.total,
-                state.samples.len()
-            ));
+        if total < len as u64 {
+            return Err(format!("history claims {total} total pushes but retains {len} samples"));
         }
-        if state.total > state.samples.len() as u64 && state.samples.len() < state.capacity {
+        if total > len as u64 && len < capacity {
             return Err("history claims evictions before filling its capacity".to_string());
         }
-        let mut h = HistoryBuffer::new(state.capacity);
-        h.buf[..state.samples.len()].copy_from_slice(&state.samples);
-        h.len = state.samples.len();
-        h.head = state.samples.len() % state.capacity;
-        h.total = state.total;
+        let mut h = HistoryBuffer::with_width(states.len(), capacity);
+        for (stream, st) in states.iter().enumerate() {
+            for (row, &x) in st.samples.iter().enumerate() {
+                h.buf[row * h.width + stream] = x;
+            }
+        }
+        h.len = len;
+        h.head = len % capacity;
+        h.total = total;
         Ok(h)
     }
 }
@@ -854,14 +913,14 @@ mod tests {
             h.push(i as f64);
         }
         // Retains samples 5..10.
-        assert_eq!(h.range(5, 8), Some(vec![5.0, 6.0, 7.0]));
-        assert_eq!(h.range(9, 10), Some(vec![9.0]));
+        assert_eq!(h.range(0, 5, 8), Some(vec![5.0, 6.0, 7.0]));
+        assert_eq!(h.range(0, 9, 10), Some(vec![9.0]));
         // Evicted.
-        assert_eq!(h.range(4, 6), None);
+        assert_eq!(h.range(0, 4, 6), None);
         // Not yet produced.
-        assert_eq!(h.range(9, 11), None);
+        assert_eq!(h.range(0, 9, 11), None);
         // Degenerate.
-        assert_eq!(h.range(7, 7), None);
+        assert_eq!(h.range(0, 7, 7), None);
     }
 
     #[test]
@@ -907,46 +966,57 @@ mod tests {
         for i in 0..13 {
             h.push(i as f64);
         }
-        let restored = HistoryBuffer::from_state(&h.state()).unwrap();
+        let restored = HistoryBuffer::from_states(&h.states()).unwrap();
         assert_eq!(restored.total_pushed(), 13);
-        assert_eq!(restored.range(8, 13), h.range(8, 13));
-        assert_eq!(restored.range(7, 9), None);
+        assert_eq!(restored.range(0, 8, 13), h.range(0, 8, 13));
+        assert_eq!(restored.range(0, 7, 9), None);
         let mut h2 = restored;
         let mut h1 = h;
         for i in 13..20 {
             h1.push(i as f64);
             h2.push(i as f64);
-            assert_eq!(h1.range(15.min(i as u64), i as u64 + 1), h2.range(15.min(i as u64), i as u64 + 1));
+            let (start, end) = (15.min(i as u64), i as u64 + 1);
+            assert_eq!(h1.range(0, start, end), h2.range(0, start, end));
         }
     }
 
     #[test]
     fn history_state_rejects_inconsistencies() {
-        assert!(HistoryBuffer::from_state(&HistoryState {
+        assert!(HistoryBuffer::from_states(&[HistoryState {
             capacity: 0,
             samples: vec![],
             total: 0
-        })
+        }])
         .is_err());
-        assert!(HistoryBuffer::from_state(&HistoryState {
+        assert!(HistoryBuffer::from_states(&[HistoryState {
             capacity: 2,
             samples: vec![1.0, 2.0, 3.0],
             total: 3
-        })
+        }])
         .is_err());
-        assert!(HistoryBuffer::from_state(&HistoryState {
+        assert!(HistoryBuffer::from_states(&[HistoryState {
             capacity: 4,
             samples: vec![1.0, 2.0],
             total: 1
-        })
+        }])
         .is_err());
         // total > len with a partially filled buffer: impossible state.
-        assert!(HistoryBuffer::from_state(&HistoryState {
+        assert!(HistoryBuffer::from_states(&[HistoryState {
             capacity: 4,
             samples: vec![1.0, 2.0],
             total: 9
-        })
+        }])
         .is_err());
+        // No stream at all, and streams out of lockstep.
+        assert!(HistoryBuffer::from_states(&[]).is_err());
+        let a = HistoryState { capacity: 4, samples: vec![1.0, 2.0], total: 2 };
+        for b in [
+            HistoryState { capacity: 5, ..a.clone() },
+            HistoryState { samples: vec![1.0], total: 1, ..a.clone() },
+            HistoryState { total: 3, ..a.clone() },
+        ] {
+            assert!(HistoryBuffer::from_states(&[a.clone(), b]).is_err());
+        }
     }
 
     #[test]
@@ -1045,8 +1115,8 @@ mod tests {
         }
         let mut out = Vec::new();
         for (start, end) in [(5, 8), (9, 10), (4, 6), (9, 11), (7, 7), (0, 1)] {
-            let ok = h.range_into(start, end, &mut out);
-            match h.range(start, end) {
+            let ok = h.range_into(0, start, end, &mut out);
+            match h.range(0, start, end) {
                 Some(v) => {
                     assert!(ok);
                     assert_eq!(out, v);
@@ -1065,6 +1135,6 @@ mod tests {
         h.push(1.0);
         h.push(2.0);
         h.push(3.0);
-        assert_eq!(h.range(0, 3), Some(vec![1.0, 2.0, 3.0]));
+        assert_eq!(h.range(0, 0, 3), Some(vec![1.0, 2.0, 3.0]));
     }
 }

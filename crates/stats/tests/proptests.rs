@@ -113,11 +113,11 @@ fadewich_testkit::property! {
         let total = xs.len() as u64;
         let retained = cap.min(xs.len()) as u64;
         let start = total - retained;
-        let got = h.range(start, total).expect("retained range");
+        let got = h.range(0, start, total).expect("retained range");
         assert_eq!(got, xs[start as usize..].to_vec());
         // Anything older is unavailable.
         if start > 0 {
-            assert!(h.range(start - 1, total).is_none());
+            assert!(h.range(0, start - 1, total).is_none());
         }
     }
 
@@ -240,8 +240,8 @@ fadewich_testkit::property! {
         }
         let (start, end) = (start as u64, (start + span) as u64);
         let mut out = vec![f64::NAN; 7]; // stale garbage must be cleared
-        let ok = h.range_into(start, end, &mut out);
-        match h.range(start, end) {
+        let ok = h.range_into(0, start, end, &mut out);
+        match h.range(0, start, end) {
             Some(window) => {
                 assert!(ok);
                 assert_eq!(out.len(), window.len());
@@ -253,6 +253,53 @@ fadewich_testkit::property! {
                 assert!(!ok);
                 assert!(out.is_empty());
             }
+        }
+    }
+
+    // One width-n buffer is n single-stream buffers pushed in
+    // lockstep: every per-stream range (retained, evicted or not yet
+    // produced), `range_into` and exported state agree, across
+    // wraparound and through a mid-stream restore from the per-stream
+    // states.
+    #[cases(96)]
+    fn lockstep_history_matches_single_stream_buffers(
+        xs in vecs(f64s(-1e4..1e4), 0..150),
+        width in usizes(1..8),
+        cap in usizes(1..40),
+        seed in u64s(0..1 << 32),
+    ) {
+        let mut rng = fadewich_stats::rng::Rng::seed_from_u64(seed);
+        let cut = rng.below(xs.len() + 1); // where the restore happens
+        let mut wide = HistoryBuffer::with_width(width, cap);
+        let mut narrow: Vec<HistoryBuffer> = (0..width).map(|_| HistoryBuffer::new(cap)).collect();
+        let mut row = vec![0.0; width];
+        let mut out = Vec::new();
+        for (i, &x) in xs.iter().enumerate() {
+            if i == cut {
+                wide = HistoryBuffer::from_states(&wide.states()).unwrap();
+            }
+            for (s, slot) in row.iter_mut().enumerate() {
+                *slot = x + s as f64 + rng.f64();
+            }
+            wide.push_row(&row);
+            for (h, &v) in narrow.iter_mut().zip(&row) {
+                h.push(v);
+            }
+            let start = rng.below(i + 3) as u64;
+            let end = start + rng.below(cap + 2) as u64;
+            for (s, h) in narrow.iter().enumerate() {
+                let want = h.range(0, start, end);
+                assert_eq!(wide.range(s, start, end), want, "stream {s}");
+                assert_eq!(wide.range_into(s, start, end, &mut out), want.is_some());
+                assert_eq!(out, want.unwrap_or_default());
+            }
+            assert_eq!(wide.len(), narrow[0].len());
+            assert_eq!(wide.total_pushed(), narrow[0].total_pushed());
+        }
+        let states = wide.states();
+        assert_eq!(states.len(), width);
+        for (st, h) in states.iter().zip(&narrow) {
+            assert_eq!(std::slice::from_ref(st), &h.states()[..]);
         }
     }
 }

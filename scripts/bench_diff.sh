@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Diff two fadewich-bench JSON result files (BENCH_*.json or ad-hoc
-# --bench-out captures).
+# Diff fadewich-bench JSON result files (BENCH_*.json or ad-hoc
+# --bench-out captures): one run per side, or several interleaved runs
+# per side.
 #
 # The bench schema splits every row into two kinds of fields:
 #
@@ -9,12 +10,21 @@
 #     the same configuration must agree exactly; any drift is a
 #     correctness regression and fails the diff with exit 1.
 #   - `wall_*` fields are host timing and are expected to wobble. A
-#     >10% regression of `wall_median_ns_per_unit` on a named row is
+#     regression of `wall_median_ns_per_unit` on a named row is
 #     reported as a warning by default, and only fails the diff when
 #     `--fail-on-wall` is given (back-to-back runs on a shared CI box
-#     can easily swing more than 10% for innocent reasons).
+#     can easily swing more than 10% for innocent reasons). With one
+#     run per side a regression is a >10% rise. With several, a row
+#     regresses when the median over NEW runs of the per-run medians
+#     is >10% above the same median over OLD runs *and* above every
+#     OLD run: one run's spread is not a regression.
 #
 # Usage: bench_diff.sh [--fail-on-wall] [--rows-only] OLD.json NEW.json
+#        bench_diff.sh [--fail-on-wall] [--rows-only] OLD.json... -- NEW.json...
+#
+# Non-wall fields are checked per run: every run on either side must
+# agree exactly with the first OLD run. Several runs per side should be
+# interleaved (old, new, old, new, ...) so host drift hits both sides.
 #
 #   --rows-only     only check row-name compatibility: every row named
 #                   in OLD must still exist in NEW. Use this against a
@@ -27,6 +37,7 @@ set -euo pipefail
 
 usage() {
     echo "usage: bench_diff.sh [--fail-on-wall] [--rows-only] OLD.json NEW.json" >&2
+    echo "       bench_diff.sh [--fail-on-wall] [--rows-only] OLD.json... -- NEW.json..." >&2
 }
 
 fail_on_wall=0
@@ -49,27 +60,43 @@ while [ $# -gt 0 ]; do
     shift
 done
 
-if [ $# -ne 2 ]; then
-    usage
-    exit 2
+old_files=()
+new_files=()
+if [ $# -eq 2 ] && [ "$1" != "--" ] && [ "$2" != "--" ]; then
+    old_files=("$1")
+    new_files=("$2")
+else
+    side=old
+    for f in "$@"; do
+        if [ "$f" = "--" ] && [ "$side" = old ]; then
+            side=new
+        elif [ "$side" = old ]; then
+            old_files+=("$f")
+        else
+            new_files+=("$f")
+        fi
+    done
+    if [ "$side" != new ] || [ ${#old_files[@]} -eq 0 ] || [ ${#new_files[@]} -eq 0 ]; then
+        usage
+        exit 2
+    fi
 fi
-
-old_json=$1
-new_json=$2
-for f in "$old_json" "$new_json"; do
+for f in "${old_files[@]}" "${new_files[@]}"; do
     if [ ! -f "$f" ]; then
         echo "bench_diff: no such file: $f" >&2
         exit 2
     fi
 done
 
-python3 - "$old_json" "$new_json" "$rows_only" "$fail_on_wall" <<'PY'
+python3 - "$rows_only" "$fail_on_wall" "${old_files[@]}" -- "${new_files[@]}" <<'PY'
 import json
+import statistics
 import sys
 
-old_path, new_path, rows_only, fail_on_wall = sys.argv[1:5]
-rows_only = rows_only == "1"
-fail_on_wall = fail_on_wall == "1"
+rows_only = sys.argv[1] == "1"
+fail_on_wall = sys.argv[2] == "1"
+split = sys.argv.index("--", 3)
+old_paths, new_paths = sys.argv[3:split], sys.argv[split + 1:]
 
 def load(path):
     with open(path) as f:
@@ -86,58 +113,77 @@ def load(path):
         rows[name] = row
     return doc, rows
 
-old_doc, old_rows = load(old_path)
-new_doc, new_rows = load(new_path)
+old_runs = [(p, load(p)[1]) for p in old_paths]
+new_runs = [(p, load(p)[1]) for p in new_paths]
+old_path, old_rows = old_runs[0]
+multi = len(old_runs) + len(new_runs) > 2
 
 errors = []
 warnings = []
 
-missing = sorted(set(old_rows) - set(new_rows))
-if missing:
-    errors.append(f"rows missing from {new_path}: {', '.join(missing)}")
-added = sorted(set(new_rows) - set(old_rows))
-if added:
-    warnings.append(f"new rows not in {old_path}: {', '.join(added)}")
-
-if not rows_only:
+def compare(new_path, new_rows):
+    """Row names and non-wall fields of one run against the first OLD run."""
+    missing = sorted(set(old_rows) - set(new_rows))
+    if missing:
+        errors.append(f"rows missing from {new_path}: {', '.join(missing)}")
+    added = sorted(set(new_rows) - set(old_rows))
+    if added:
+        warnings.append(f"new rows not in {old_path}: {', '.join(added)}")
+    if rows_only:
+        return
     for name in sorted(set(old_rows) & set(new_rows)):
         old_row, new_row = old_rows[name], new_rows[name]
-        keys = set(old_row) | set(new_row)
-        for key in sorted(keys):
+        for key in sorted(set(old_row) | set(new_row)):
             wall = key.startswith("wall_")
             if key not in old_row or key not in new_row:
                 where = new_path if key not in new_row else old_path
                 msg = f"row {name}: field {key} missing from {where}"
                 (warnings if wall else errors).append(msg)
                 continue
-            if wall:
-                continue
-            if old_row[key] != new_row[key]:
+            if not wall and old_row[key] != new_row[key]:
+                run = f" in {new_path}" if multi else ""
                 errors.append(
-                    f"row {name}: non-wall field {key} drifted: "
+                    f"row {name}: non-wall field {key} drifted{run}: "
                     f"{old_row[key]!r} -> {new_row[key]!r}"
                 )
-        old_ns = old_row.get("wall_median_ns_per_unit")
-        new_ns = new_row.get("wall_median_ns_per_unit")
-        if isinstance(old_ns, (int, float)) and isinstance(new_ns, (int, float)) and old_ns > 0:
-            ratio = new_ns / old_ns
-            if ratio > 1.10:
-                warnings.append(
-                    f"row {name}: wall regression {ratio:.2f}x "
-                    f"({old_ns:.1f} -> {new_ns:.1f} ns/unit)"
-                )
 
-for w in warnings:
+for path, rows in old_runs[1:] + new_runs:
+    compare(path, rows)
+
+def wall_ns(runs, name):
+    values = [rows[name].get("wall_median_ns_per_unit") for _, rows in runs if name in rows]
+    return [v for v in values if isinstance(v, (int, float))]
+
+if not rows_only:
+    for name in sorted(old_rows):
+        old_ns, new_ns = wall_ns(old_runs, name), wall_ns(new_runs, name)
+        if not old_ns or not new_ns:
+            continue
+        old_med, new_med = statistics.median(old_ns), statistics.median(new_ns)
+        if old_med > 0 and new_med > 1.10 * old_med and new_med > max(old_ns):
+            spread = ""
+            if multi:
+                spread = (
+                    f", medians of {len(old_ns)} vs {len(new_ns)} runs; "
+                    f"old range {min(old_ns):.1f}-{max(old_ns):.1f}"
+                )
+            warnings.append(
+                f"row {name}: wall regression {new_med / old_med:.2f}x "
+                f"({old_med:.1f} -> {new_med:.1f} ns/unit{spread})"
+            )
+
+for w in dict.fromkeys(warnings):
     print(f"bench_diff: warning: {w}")
-for e in errors:
+for e in dict.fromkeys(errors):
     print(f"bench_diff: error: {e}")
 
 wall_regressions = [w for w in warnings if "wall regression" in w]
 if errors or (fail_on_wall and wall_regressions):
     sys.exit(1)
 mode = "rows-only" if rows_only else "full"
+runs = f" over {len(old_runs)} vs {len(new_runs)} runs" if multi else ""
 print(
-    f"bench_diff: ok ({mode}): {len(set(old_rows) & set(new_rows))} rows compared, "
+    f"bench_diff: ok ({mode}): {len(old_rows)} rows compared{runs}, "
     f"{len(wall_regressions)} wall warning(s)"
 )
 PY

@@ -16,6 +16,17 @@ export RUSTFLAGS="-D warnings"
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 
+# Masked-libm gate: glibc picks its exp/log/pow code by CPU feature at
+# run time, and every pinned bit rests on those functions. Rerun the
+# bit-pinned gates with the AVX2, FMA and AVX-512 variants masked off,
+# so a pin that holds only on one libm code path fails here. (On an
+# AVX-512 machine the mask changes a 2M-point exp digest over
+# [-40, 0], so it is live there.)
+libm_mask=glibc.cpu.hwcaps=-AVX2,-FMA,-AVX512F
+GLIBC_TUNABLES=$libm_mask cargo test -q --offline -p fadewich-stats --test kde_bit_identity
+GLIBC_TUNABLES=$libm_mask cargo test -q --offline -p fadewich-core --test md_regression
+GLIBC_TUNABLES=$libm_mask cargo test -q --offline -p fadewich-runtime --test cross_version_pin
+
 # Benchmark build gate: perfbench is a workspace of its own (see
 # BENCHMARK.json) that builds the serving system from these sources
 # through path dependencies, so a crate API change must keep it
@@ -139,12 +150,15 @@ grep -v '"wall_' "$workdir/bench2.json" > "$workdir/bench2.nowall"
 cmp "$workdir/bench1.nowall" "$workdir/bench2.nowall"
 
 # The bench diff tool must agree with the raw cmp: a full diff of the
-# two smoke runs (any non-wall drift is fatal), plus row-name
-# compatibility against the committed baseline — the baseline's
-# full-size workload fields legitimately differ from a smoke run's,
-# so that leg only checks no benchmark row silently disappeared.
+# two smoke runs (any non-wall drift is fatal), in both its one-run
+# and its several-runs-per-side form, plus row-name compatibility
+# against the committed baseline — the baseline's full-size workload
+# fields legitimately differ from a smoke run's, so that leg only
+# checks no benchmark row silently disappeared.
 scripts/bench_diff.sh "$workdir/bench1.json" "$workdir/bench2.json"
-scripts/bench_diff.sh --rows-only BENCH_2026-10-18.json "$workdir/bench1.json"
+scripts/bench_diff.sh "$workdir/bench1.json" "$workdir/bench2.json" -- \
+    "$workdir/bench2.json" "$workdir/bench1.json"
+scripts/bench_diff.sh --rows-only BENCH_2026-10-19.json "$workdir/bench1.json"
 
 # Span-profile gate: `reproduce profile` folds tick-stamped spans, so
 # the whole report is logical-time only and must be byte-identical
