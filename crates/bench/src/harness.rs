@@ -29,7 +29,7 @@ use fadewich_runtime::engine::EngineConfig;
 use fadewich_runtime::{Frame, StreamingEngine};
 use fadewich_stats::kde::GaussianKde;
 use fadewich_stats::rng::Rng;
-use fadewich_telemetry::Clock;
+use fadewich_telemetry::{Clock, SloEngine, Telemetry};
 use fadewich_testkit::bench::{alloc_counts, black_box};
 
 /// Schema tag of the emitted JSON; bump on incompatible layout change.
@@ -508,18 +508,24 @@ fn mac_verify_row(cfg: &BenchConfig, clock: &dyn Clock) -> Result<BenchRow, Stri
     Ok(row)
 }
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into an FNV-1a digest.
+fn fnv1a(mut digest: u64, bytes: &[u8]) -> u64 {
+    for b in bytes {
+        digest = (digest ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    digest
+}
+
 /// FNV-1a digest of an action log (each action's time bits and kind):
 /// equal digests certify that two runs made the same decisions at the
 /// same instants.
 fn action_digest(actions: &[Action]) -> u64 {
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
-    for a in actions {
-        let kind = format!("{:?}", a.kind);
-        for b in a.t.to_bits().to_le_bytes().iter().chain(kind.as_bytes()) {
-            digest = (digest ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    digest
+    actions.iter().fold(FNV_OFFSET, |digest, a| {
+        let digest = fnv1a(digest, &a.t.to_bits().to_le_bytes());
+        fnv1a(digest, format!("{:?}", a.kind).as_bytes())
+    })
 }
 
 /// Digest of a verdict stream: enough to prove two MD runs made the
@@ -633,7 +639,18 @@ fn engine_frames(cfg: &BenchConfig, groups: &[(u16, Vec<usize>)]) -> Vec<Vec<u8>
     frames
 }
 
-fn engine_row(cfg: &BenchConfig, clock: &dyn Clock) -> Result<BenchRow, String> {
+/// The `engine` workload: a fresh engine takes the whole pre-encoded
+/// day in one `ingest_bytes` call. `instrumented` runs it the way
+/// `fadewichd serve --metrics-addr` does (`engine_telemetry_on`):
+/// metrics-only telemetry with the standard SLO set, and the day's
+/// counters exported at its end. That row's wall time next to the
+/// `engine` row's prices the instrumentation, and it adds an FNV
+/// digest of the deterministic metrics dump.
+fn engine_row(
+    cfg: &BenchConfig,
+    clock: &dyn Clock,
+    instrumented: bool,
+) -> Result<BenchRow, String> {
     let re = trained_re(cfg.seed);
     let inputs = busy_inputs(cfg.engine_ticks);
     let groups = engine_groups();
@@ -643,21 +660,37 @@ fn engine_row(cfg: &BenchConfig, clock: &dyn Clock) -> Result<BenchRow, String> 
     let mut actions_total = 0u64;
     let mut digest = 0u64;
     let mut frames_in = 0u64;
+    let mut metrics_digest = 0u64;
     let m = measure(clock, cfg.warmup_iters, cfg.iters, cfg.samples, cfg.engine_ticks, || {
         let kma = Kma::new(&inputs);
         let mut engine = StreamingEngine::new(engine_cfg, groups.clone(), &re, kma)
             .expect("bench engine layout is valid");
+        let telemetry = if instrumented {
+            let t = Telemetry::metrics_only();
+            t.set_slo(SloEngine::standard(TICK_HZ));
+            engine.set_telemetry(t.clone());
+            t
+        } else {
+            Telemetry::disabled()
+        };
         engine.ingest_bytes(&bytes);
         engine.finish(cfg.engine_ticks);
+        engine.counters().export_into(&telemetry);
         actions_total = engine.actions().len() as u64;
         digest = action_digest(engine.actions());
         frames_in = engine.counters().frames_in;
+        if let Some(json) = telemetry.metrics_json(false) {
+            metrics_digest = fnv1a(FNV_OFFSET, json.as_bytes());
+        }
     })?;
-    let mut row = BenchRow::new("engine");
+    let mut row = BenchRow::new(if instrumented { "engine_telemetry_on" } else { "engine" });
     row.push("ticks", FieldValue::U64(cfg.engine_ticks));
     row.push("frames_in", FieldValue::U64(frames_in));
     row.push("actions_total", FieldValue::U64(actions_total));
     row.push("action_digest", FieldValue::U64(digest));
+    if instrumented {
+        row.push("metrics_digest", FieldValue::U64(metrics_digest));
+    }
     row.push_measurement(&m);
     row.push(
         "wall_ticks_per_sec",
@@ -869,8 +902,14 @@ fn ingest_alloc_row(cfg: &BenchConfig) -> Result<BenchRow, String> {
 pub fn run(cfg: &BenchConfig, clock: &Arc<dyn Clock>) -> Result<BenchReport, String> {
     cfg.validate()?;
     let clock = clock.as_ref();
-    let mut rows = Vec::new();
-    rows.push(engine_row(cfg, clock)?);
+    let engine = engine_row(cfg, clock, false)?;
+    let instrumented = engine_row(cfg, clock, true)?;
+    if instrumented.get("action_digest") != engine.get("action_digest") {
+        return Err("telemetry changed the engine's decisions: engine_telemetry_on's \
+                    action_digest differs from engine's"
+            .to_string());
+    }
+    let mut rows = vec![engine, instrumented];
     rows.push(wire_decode_row(cfg, clock)?);
     rows.push(wire_decode_borrowed_row(cfg, clock)?);
     rows.push(mac_verify_row(cfg, clock)?);

@@ -112,6 +112,7 @@ fn manual_clock_report_is_fully_deterministic_and_parses() {
     };
     let expected = [
         "engine",
+        "engine_telemetry_on",
         "wire_decode",
         "wire_decode_borrowed",
         "mac_verify",
@@ -160,6 +161,11 @@ fn manual_clock_report_is_fully_deterministic_and_parses() {
         .unwrap();
     assert!(engine.get("action_digest").and_then(Json::as_num).is_some());
     assert_eq!(engine.get("action_digest"), fleet.get("action_digest"));
+    // Telemetry prices the instrumentation without moving a decision,
+    // and digests its deterministic metrics dump.
+    let instrumented = a.row("engine_telemetry_on").unwrap();
+    assert_eq!(instrumented.get("action_digest"), a.row("engine").unwrap().get("action_digest"));
+    assert!(matches!(instrumented.get("metrics_digest"), Some(FieldValue::U64(_))));
     // The ingest probe feeds the engine workload one frame per call and
     // must reach the same decisions as the one-blob `engine` row.
     let ingest = a.row("engine_ingest_allocs").unwrap();

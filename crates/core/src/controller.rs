@@ -643,17 +643,19 @@ impl<'a> Controller<'a> {
     /// a stable kind name.
     fn act(&mut self, tick: usize, t: f64, kind: ActionKind, parent: Option<SpanId>) {
         if self.telemetry.is_enabled() {
-            let name = match kind {
-                ActionKind::DeauthenticateRule1 { .. } => "deauth_rule1",
-                ActionKind::DeauthenticateAlert { .. } => "deauth_alert",
-                ActionKind::DeauthenticateTimeout { .. } => "deauth_timeout",
-                ActionKind::DeauthenticateLight { .. } => "deauth_light",
-                ActionKind::AlertEntered { .. } => "alert_entered",
-                ActionKind::ScreenSaverOn { .. } => "screensaver_on",
-                ActionKind::AlertCancelled { .. } => "alert_cancelled",
-                ActionKind::Reauthenticated { .. } => "reauth",
+            let (name, counter) = match kind {
+                ActionKind::DeauthenticateRule1 { .. } => ("deauth_rule1", "actions_deauth_rule1"),
+                ActionKind::DeauthenticateAlert { .. } => ("deauth_alert", "actions_deauth_alert"),
+                ActionKind::DeauthenticateTimeout { .. } => {
+                    ("deauth_timeout", "actions_deauth_timeout")
+                }
+                ActionKind::DeauthenticateLight { .. } => ("deauth_light", "actions_deauth_light"),
+                ActionKind::AlertEntered { .. } => ("alert_entered", "actions_alert_entered"),
+                ActionKind::ScreenSaverOn { .. } => ("screensaver_on", "actions_screensaver_on"),
+                ActionKind::AlertCancelled { .. } => ("alert_cancelled", "actions_alert_cancelled"),
+                ActionKind::Reauthenticated { .. } => ("reauth", "actions_reauth"),
             };
-            self.telemetry.counter_add(&format!("actions_{name}"), 1);
+            self.telemetry.counter_add(counter, 1);
             self.telemetry.event(
                 tick as u64,
                 name,

@@ -92,14 +92,15 @@ impl LatencyHisto {
     }
 
     /// Mirrors the recorded samples into a wall-clock registry
-    /// histogram (bucket-approximated: each log₂ bucket re-records its
-    /// count at the bucket's lower bound; count, max and quantile
-    /// bounds survive, exact sums do not).
+    /// histogram, one call per non-empty bucket. Bucket-approximated:
+    /// each log₂ bucket records its count at the bucket's lower bound,
+    /// so the registry keeps the count, while its sum, min, max and
+    /// quantiles are read off the bucket floors (its max is the top
+    /// bucket's floor, not [`max_ns`](Self::max_ns)).
     fn export_into(&self, telemetry: &Telemetry, name: &str) {
         for (i, &c) in self.buckets.iter().enumerate() {
-            let ns = (1u64 << i) * 1000;
-            for _ in 0..c {
-                telemetry.histo_record_wall(name, ns);
+            if c > 0 {
+                telemetry.histo_record_wall(name, (1u64 << i) * 1000, c);
             }
         }
     }
@@ -422,9 +423,10 @@ impl RuntimeCounters {
             }
         }
         let prev = telemetry
-            .with_registry(|r| r.counter("runtime_watermark_lag_max"))
-            .unwrap_or(0);
-        if self.watermark_lag_max > prev {
+            .with_registry(|r| r.gauge("runtime_watermark_lag_max"))
+            .flatten()
+            .unwrap_or(0.0);
+        if self.watermark_lag_max as f64 > prev {
             telemetry.gauge_set("runtime_watermark_lag_max", self.watermark_lag_max as f64);
         }
         self.decode.export_into(telemetry, "runtime_decode_ns");
@@ -633,5 +635,61 @@ mod tests {
         assert!(t.metrics_json(true).unwrap().contains("runtime_step_ns"));
         // Disabled handles are a no-op.
         c.export_into(&Telemetry::disabled());
+    }
+
+    #[test]
+    fn watermark_lag_gauge_keeps_the_worst_day() {
+        let t = Telemetry::metrics_only();
+        for (lag, expect) in [(9, 9.0), (4, 9.0), (12, 12.0)] {
+            let c = RuntimeCounters { watermark_lag_max: lag, ..Default::default() };
+            c.export_into(&t);
+            assert_eq!(
+                t.with_registry(|r| r.gauge("runtime_watermark_lag_max")).flatten(),
+                Some(expect),
+                "after a day with lag {lag}"
+            );
+        }
+    }
+
+    /// The per-sample export the bucket export replaced: one registry
+    /// record per sample, at its bucket's lower bound.
+    fn export_per_sample(h: &LatencyHisto, telemetry: &Telemetry, name: &str) {
+        for (i, &c) in h.buckets.iter().enumerate() {
+            for _ in 0..c {
+                telemetry.histo_record_wall(name, (1u64 << i) * 1000, 1);
+            }
+        }
+    }
+
+    #[test]
+    fn bucket_export_matches_the_per_sample_oracle() {
+        let mut rng = fadewich_stats::rng::Rng::seed_from_u64(0xB0C4E7);
+        for case in 0..48 {
+            // Two days' histograms; case 0 has an all-empty one, and
+            // most leave buckets empty by drawing from a few octaves.
+            let mut days = [LatencyHisto::default(), LatencyHisto::default()];
+            for (d, h) in days.iter_mut().enumerate() {
+                if case == 0 && d == 0 {
+                    continue;
+                }
+                let octaves: Vec<u32> =
+                    (0..1 + rng.below(4)).map(|_| rng.below(26) as u32).collect();
+                for _ in 0..rng.below(400) {
+                    let octave = octaves[rng.below(octaves.len())];
+                    h.record_ns((1000u64 << octave) + rng.next_u64() % (1000u64 << octave));
+                }
+            }
+            let (bucketed, oracle) = (Telemetry::metrics_only(), Telemetry::metrics_only());
+            for h in &days {
+                h.export_into(&bucketed, "runtime_decode_ns");
+                export_per_sample(h, &oracle, "runtime_decode_ns");
+            }
+            assert_eq!(bucketed.metrics_json(true), oracle.metrics_json(true), "case {case}");
+            assert_eq!(bucketed.prometheus_text(true), oracle.prometheus_text(true), "case {case}");
+        }
+        // An all-empty histogram creates no registry entry.
+        let t = Telemetry::metrics_only();
+        LatencyHisto::default().export_into(&t, "runtime_step_ns");
+        assert_eq!(t.with_registry(|r| r.histogram("runtime_step_ns").is_none()), Some(true));
     }
 }

@@ -558,6 +558,14 @@ impl ReorderBuffer {
     /// Takes a popped tick back: its slot is cleared and kept as a
     /// spare while fewer than `jitter_ticks + 1` are, and freed
     /// otherwise.
+    ///
+    /// The cap is a measured trade-off. Raising it to
+    /// `quarantine_after_ticks + jitter_ticks + 1` (every tick the
+    /// watermark can hold pending) took perfbench `fleet_lossy` from
+    /// 0.829 to 0.765 allocation calls per tick, but its
+    /// `heap_peak_mb` from 2.9115 to 2.9582 (+1.6%, in every pass):
+    /// the retained spares coexist with the checkpoint-snapshot and
+    /// refit peaks.
     pub(crate) fn recycle(&mut self, closed: ClosedTick) {
         if let Some(mut slot) = closed.slot {
             if (self.spare.len() as u64) <= self.cfg.jitter_ticks {

@@ -1,28 +1,52 @@
-//! Allocation pin for the engine's ingest path.
+//! Allocation pins for the engine's ingest path.
 //!
 //! This file is its own test binary on purpose: it registers the
-//! testkit counting allocator process-wide and holds exactly one test,
-//! so no sibling test thread can pollute the per-frame deltas.
+//! testkit counting allocator process-wide, and its tests take one
+//! lock for their whole body (setup before any measured region), so
+//! no sibling test thread can pollute the per-frame deltas.
 //!
-//! The claim under test, at the paper's layout (9 sensors × 8 streams)
-//! fed lossless v1 bytes one frame per [`StreamingEngine::ingest_bytes`]
-//! call: once warmed up, no frame allocates. The frame that opens a
-//! tick takes a recycled reorder slot and the frame that closes it
-//! hands the slot back; the only exception is the closing frame of an
-//! Algorithm-1 batch flush (and any KDE refit it triggers).
+//! The claims under test, at the paper's layout (9 sensors × 8
+//! streams) fed one frame per [`StreamingEngine::ingest_bytes`] call:
+//!
+//! - Lossless v1 bytes, telemetry off: once warmed up, no frame
+//!   allocates. The frame that opens a tick takes a recycled reorder
+//!   slot and the frame that closes it hands the slot back; the only
+//!   exception is the closing frame of an Algorithm-1 batch flush (and
+//!   any KDE refit it triggers).
+//! - Authenticated v4 bytes under forged and replayed frames, with
+//!   metrics-only telemetry and the standard SLO set (`fadewichd serve
+//!   --metrics-addr`): once every metric name exists, a frame allocates
+//!   only if it refits the profile or emits a span or event that
+//!   carries owned attributes (FSM transitions, Rule-1 audits, sensor
+//!   quarantines).
+//! - [`RuntimeCounters::export_into`] costs the same allocations
+//!   whatever the number of latency samples it exports.
 
+use std::sync::{Mutex, MutexGuard};
+
+use fadewich_core::auth::{AuthKey, KeyTable};
 use fadewich_core::config::FadewichParams;
 use fadewich_core::features::{extract_features, TrainingSample};
 use fadewich_core::kma::Kma;
 use fadewich_core::re::RadioEnvironment;
 use fadewich_officesim::{DayTrace, InputTrace};
 use fadewich_runtime::engine::EngineConfig;
-use fadewich_runtime::{Frame, StreamingEngine};
+use fadewich_runtime::{EngineAuth, Frame, RuntimeCounters, StreamingEngine};
 use fadewich_stats::rng::Rng;
+use fadewich_telemetry::{SloEngine, Telemetry};
 use fadewich_testkit::bench::{alloc_counts, black_box, CountingAllocator};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
+
+/// Held by every test for its whole body: the allocation counters are
+/// process-wide.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    // A failed sibling poisons the lock; its data is `()`, so carry on.
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 const SENSORS: usize = 9;
 const STREAMS_PER_SENSOR: usize = 8;
@@ -50,6 +74,7 @@ fn trained_re(rng: &mut Rng) -> RadioEnvironment {
 
 #[test]
 fn lossless_ingest_allocates_nothing_at_steady_state() {
+    let _serial = serial();
     // Sanity: the counting allocator really is registered here.
     let probe = alloc_counts();
     black_box(Box::new(0x5EEDu64));
@@ -130,4 +155,138 @@ fn lossless_ingest_allocates_nothing_at_steady_state() {
             "allocating closing frames are not one batch apart: {closing_allocs:?}"
         );
     }
+}
+
+/// The registry counters whose movement during a frame excuses an
+/// allocation: profile refits, FSM transitions and Rule-1 audits.
+fn excusing_metrics(telemetry: &Telemetry) -> u64 {
+    telemetry
+        .with_registry(|r| {
+            ["md_profile_refits", "controller_transitions", "rule1_deauths", "rule1_no_deauths"]
+                .iter()
+                .map(|name| r.counter(name))
+                .sum()
+        })
+        .expect("telemetry is enabled")
+}
+
+/// Sensor quarantines and recoveries: their events carry an owned
+/// attribute list.
+fn sensor_events(c: &RuntimeCounters) -> u64 {
+    c.attack_quarantines + c.quarantines + c.recoveries
+}
+
+#[test]
+fn metrics_only_authenticated_ingest_allocates_only_for_refits_and_owned_records() {
+    let _serial = serial();
+    let mut rng = Rng::seed_from_u64(0xA7_5107);
+    let re = trained_re(&mut rng);
+    let params = FadewichParams { profile_init_s: 30.0, ..Default::default() };
+    let (warm, measured) = (1_200u64, 900u64);
+    // Typing on every tick: no workstation is ever idle, so past the
+    // first tick's logins Rule 1 audits every long window without
+    // deauthenticating and Rule 2 raises no alert. The action log
+    // never grows.
+    let typing: Vec<f64> = (0..(warm + measured + 50)).map(|t| t as f64 / TICK_HZ).collect();
+    let inputs = InputTrace::from_times(vec![typing.clone(), typing]);
+    let groups: Vec<(u16, Vec<usize>)> = (0..SENSORS)
+        .map(|s| (s as u16, (s * STREAMS_PER_SENSOR..(s + 1) * STREAMS_PER_SENSOR).collect()))
+        .collect();
+    let keys = KeyTable::derive(0x5EC2E7, SENSORS as u16);
+    let forger = AuthKey::derive(0xBAD, 0);
+    let cfg = EngineConfig::new(TICK_HZ, params);
+    let mut engine = StreamingEngine::new(cfg, groups.clone(), &re, Kma::new(&inputs)).unwrap();
+    engine.set_auth(EngineAuth::new(keys.clone()));
+    let telemetry = Telemetry::metrics_only();
+    telemetry.set_slo(SloEngine::standard(TICK_HZ));
+    engine.set_telemetry(telemetry.clone());
+
+    // Every tick: the nine genuine frames, with a forged frame after
+    // sensors 0, 3 and 6 and, from tick 3 on, a byte-exact replay of
+    // sensor 4's frame from three ticks back; sensor 8's genuine frame
+    // comes last and closes the tick. A 40-tick movement burst every
+    // 300 ticks opens variation windows long enough for Rule 1.
+    let mut genuine: Vec<Vec<Vec<u8>>> = Vec::new();
+    let mut deliveries: Vec<Vec<Vec<u8>>> = Vec::new();
+    for tick in 0..warm + measured {
+        let sd = if tick % 300 >= 200 && tick % 300 < 240 { 4.0 } else { 0.6 };
+        let mut frames = Vec::new();
+        let mut out = Vec::new();
+        for (k, (sensor, positions)) in groups.iter().enumerate() {
+            let values = positions.iter().map(|_| (-50.0 + rng.normal() * sd) as f32).collect();
+            let frame = Frame::rssi(*sensor, tick as u32, tick, values);
+            frames.push(frame.encode_auth(keys.get(*sensor).unwrap()));
+            out.push(frames[k].clone());
+            if k % 3 == 0 {
+                let values = positions.iter().map(|_| -30.0f32).collect();
+                let forged = Frame::rssi(*sensor, tick as u32 + 1, tick, values);
+                out.push(forged.encode_auth(&forger));
+            }
+            if k == 4 && tick >= 3 {
+                out.push(genuine[tick as usize - 3][4].clone());
+            }
+        }
+        genuine.push(frames);
+        deliveries.push(out);
+    }
+    for tick_frames in &deliveries[..warm as usize] {
+        for bytes in tick_frames {
+            engine.ingest_bytes(bytes);
+        }
+    }
+    assert_eq!(engine.counters().ticks_processed, warm, "every warm-up tick closed");
+    let counter = |name: &str| telemetry.with_registry(|r| r.counter(name)).unwrap();
+    let anomalous_before = counter("md_anomalous_ticks");
+    let audits_before = counter("rule1_no_deauths");
+    let actions_before = engine.actions().len();
+
+    for tick in warm..warm + measured {
+        for bytes in &deliveries[tick as usize] {
+            let metrics = excusing_metrics(&telemetry);
+            let events = sensor_events(engine.counters());
+            let t0 = alloc_counts();
+            engine.ingest_bytes(bytes);
+            let calls = alloc_counts().since(t0).calls;
+            let excused = excusing_metrics(&telemetry) != metrics
+                || sensor_events(engine.counters()) != events;
+            if !excused {
+                assert_eq!(
+                    calls, 0,
+                    "tick {tick}: a frame that refit nothing and emitted no owned record allocated"
+                );
+            }
+        }
+    }
+    let c = engine.counters();
+    assert_eq!(c.ticks_processed, warm + measured);
+    assert_eq!(engine.actions().len(), actions_before, "no workstation was ever idle");
+    // The measured span really exercised the anomalous-tick, audit and
+    // rejection paths.
+    assert!(counter("md_anomalous_ticks") > anomalous_before + 40, "bursts raise anomalous ticks");
+    assert!(counter("rule1_no_deauths") > audits_before, "bursts reach Rule 1");
+    assert!(c.frames_unauthenticated > 0 && c.frames_replayed > 0, "{}", c.summary());
+}
+
+#[test]
+fn latency_export_allocations_do_not_grow_with_samples() {
+    let _serial = serial();
+    // Same buckets, 100x the samples: an export that is O(buckets)
+    // allocates the same for both.
+    let export_calls = |samples: u64| {
+        let mut c = RuntimeCounters { frames_in: samples, ..Default::default() };
+        for i in 0..samples {
+            c.decode.record_ns(500 + (i % 5) * 3_000);
+            c.step.record_ns(40_000 + (i % 3) * 90_000);
+        }
+        let telemetry = Telemetry::metrics_only();
+        let t0 = alloc_counts();
+        c.export_into(&telemetry);
+        let calls = alloc_counts().since(t0).calls;
+        let count = telemetry.with_registry(|r| r.histogram("runtime_decode_ns").unwrap().count());
+        assert_eq!(count, Some(samples));
+        calls
+    };
+    let small = export_calls(1_000);
+    let large = export_calls(100_000);
+    assert_eq!(small, large, "export allocations grew with the sample count");
 }

@@ -66,9 +66,19 @@ impl Default for Histogram {
 impl Histogram {
     /// Records one sample.
     pub fn record(&mut self, v: u64) {
-        self.buckets[bucket_index(v)] += 1;
-        self.count += 1;
-        self.sum += v as u128;
+        self.record_n(v, 1);
+    }
+
+    /// Records `n` samples of value `v` at once: the same state as `n`
+    /// calls of [`record`](Self::record) with `v`, and a no-op when
+    /// `n` is 0.
+    pub fn record_n(&mut self, v: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.buckets[bucket_index(v)] += n;
+        self.count += n;
+        self.sum += u128::from(v) * u128::from(n);
         self.min = self.min.min(v);
         self.max = self.max.max(v);
     }
@@ -163,9 +173,15 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    /// Adds `n` to the named counter, creating it at zero.
+    /// Adds `n` to the named counter, creating it at zero. Only the
+    /// first call for a name allocates its key.
     pub fn counter_add(&mut self, name: &str, n: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += n;
+        match self.counters.get_mut(name) {
+            Some(c) => *c += n,
+            None => {
+                self.counters.insert(name.to_string(), n);
+            }
+        }
     }
 
     /// Reads a counter (0 when absent).
@@ -173,9 +189,15 @@ impl MetricsRegistry {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Sets the named gauge to the latest observation.
+    /// Sets the named gauge to the latest observation. Only the first
+    /// call for a name allocates its key.
     pub fn gauge_set(&mut self, name: &str, v: f64) {
-        self.gauges.insert(name.to_string(), v);
+        match self.gauges.get_mut(name) {
+            Some(g) => *g = v,
+            None => {
+                self.gauges.insert(name.to_string(), v);
+            }
+        }
     }
 
     /// Reads back a gauge by name.
@@ -185,13 +207,16 @@ impl MetricsRegistry {
 
     /// Records a sample into a deterministic (tick-domain) histogram.
     pub fn histo_record(&mut self, name: &str, v: u64) {
-        self.entry(name, false).h.record(v);
+        self.record(name, false, v, 1);
     }
 
-    /// Records a sample into a wall-clock histogram; these are
-    /// excluded when the exposition is asked for deterministic output.
-    pub fn histo_record_wall(&mut self, name: &str, v: u64) {
-        self.entry(name, true).h.record(v);
+    /// Records `n` samples of `v` into a wall-clock histogram; these
+    /// are excluded when the exposition is asked for deterministic
+    /// output. `n = 0` records nothing and creates no entry.
+    pub fn histo_record_wall(&mut self, name: &str, v: u64, n: u64) {
+        if n > 0 {
+            self.record(name, true, v, n);
+        }
     }
 
     /// Reads back a histogram by name.
@@ -199,10 +224,17 @@ impl MetricsRegistry {
         self.histos.get(name).map(|e| &e.h)
     }
 
-    fn entry(&mut self, name: &str, wall: bool) -> &mut HistoEntry {
-        self.histos
-            .entry(name.to_string())
-            .or_insert_with(|| HistoEntry { h: Histogram::default(), wall })
+    /// Records `n` samples of `v` into the named histogram, creating
+    /// it (and allocating its key) on first use only.
+    fn record(&mut self, name: &str, wall: bool, v: u64, n: u64) {
+        match self.histos.get_mut(name) {
+            Some(e) => e.h.record_n(v, n),
+            None => {
+                let mut h = Histogram::default();
+                h.record_n(v, n);
+                self.histos.insert(name.to_string(), HistoEntry { h, wall });
+            }
+        }
     }
 
     /// Hand-rolled JSON dump. With `include_wall = false` the output
@@ -304,7 +336,10 @@ impl MetricsRegistry {
             self.gauge_set(k, *v);
         }
         for (k, e) in &other.histos {
-            let mine = self.entry(k, e.wall);
+            let mine = self
+                .histos
+                .entry(k.clone())
+                .or_insert_with(|| HistoEntry { h: Histogram::default(), wall: e.wall });
             for (i, &c) in e.h.buckets.iter().enumerate() {
                 mine.h.buckets[i] += c;
             }
@@ -376,7 +411,7 @@ mod tests {
         r.counter_add("frames_in", 4);
         r.gauge_set("md_threshold", 1.25);
         r.histo_record("deauth_latency_ticks", 12);
-        r.histo_record_wall("step_ns", 900);
+        r.histo_record_wall("step_ns", 900, 1);
 
         let det = r.to_json(false);
         assert!(det.contains("\"frames_in\":7"), "{det}");

@@ -218,13 +218,15 @@ impl Telemetry {
         self.inner.as_ref().map(|m| m.lock().unwrap_or_else(|e| e.into_inner()))
     }
 
-    fn emit(inner: &mut Inner, record: Record) {
+    /// Hands a record to the sink. The record is built only for a sink
+    /// that keeps it, so a metrics-only handle allocates nothing here.
+    fn emit(inner: &mut Inner, record: impl FnOnce() -> Record) {
         match &mut inner.sink {
             Sink::Null => {}
-            Sink::Buffer(buf) => buf.push(record),
+            Sink::Buffer(buf) => buf.push(record()),
             Sink::Writer(w) => {
                 if inner.write_error.is_none() {
-                    if let Err(e) = writeln!(w, "{}", record.render()) {
+                    if let Err(e) = writeln!(w, "{}", record().render()) {
                         inner.write_error = Some(e);
                     }
                 }
@@ -247,15 +249,14 @@ impl Telemetry {
         }
         let id = SpanId(inner.next_span);
         inner.next_span += 1;
-        let record = Record {
+        Self::emit(&mut inner, || Record {
             tick,
             kind: RecordKind::Open,
             name: name.to_string(),
             span: Some(id),
             parent,
             attrs: attrs.iter().map(|(k, v)| (k.to_string(), v.clone())).collect(),
-        };
-        Self::emit(&mut inner, record);
+        });
         Some(id)
     }
 
@@ -265,15 +266,14 @@ impl Telemetry {
             if let Some(slo) = inner.slo.as_mut() {
                 slo.advance(tick);
             }
-            let record = Record {
+            Self::emit(&mut inner, || Record {
                 tick,
                 kind: RecordKind::Close,
                 name: String::new(),
                 span: Some(span),
                 parent: None,
                 attrs: Vec::new(),
-            };
-            Self::emit(&mut inner, record);
+            });
         }
     }
 
@@ -283,15 +283,14 @@ impl Telemetry {
             if let Some(slo) = inner.slo.as_mut() {
                 slo.ingest_event(tick, name, attrs);
             }
-            let record = Record {
+            Self::emit(&mut inner, || Record {
                 tick,
                 kind: RecordKind::Event,
                 name: name.to_string(),
                 span: None,
                 parent,
                 attrs: attrs.iter().map(|(k, v)| (k.to_string(), v.clone())).collect(),
-            };
-            Self::emit(&mut inner, record);
+            });
         }
     }
 
@@ -319,11 +318,11 @@ impl Telemetry {
         }
     }
 
-    /// Records into a wall-clock histogram (excluded from
-    /// deterministic dumps).
-    pub fn histo_record_wall(&self, name: &str, v: u64) {
+    /// Records `n` samples of `v` into a wall-clock histogram
+    /// (excluded from deterministic dumps); `n = 0` records nothing.
+    pub fn histo_record_wall(&self, name: &str, v: u64, n: u64) {
         if let Some(mut inner) = self.lock() {
-            inner.registry.histo_record_wall(name, v);
+            inner.registry.histo_record_wall(name, v, n);
         }
     }
 

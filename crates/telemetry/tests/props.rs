@@ -1,5 +1,5 @@
 //! Property tests for the telemetry primitives: histogram quantile
-//! soundness and trace render determinism.
+//! soundness, count-weighted recording and trace render determinism.
 
 use fadewich_telemetry::registry::Histogram;
 use fadewich_telemetry::{Telemetry, Value};
@@ -32,6 +32,31 @@ property! {
             assert!(covered >= target, "q={q}: bound {b} covers {covered} < {target}");
             prev = b;
         }
+    }
+}
+
+property! {
+    // Recording `(v, n)` once leaves the histogram exactly as `n`
+    // single records of `v` do (buckets, count, u128 sum, min, max),
+    // and `n = 0` changes nothing. Values span the whole `u64` range,
+    // so `v·n` overflows `u64` and must be summed in `u128`.
+    #[cases(64)]
+    fn weighted_record_equals_repeated_records(
+        pairs in prop::vecs((prop::u64s(0..u64::MAX), prop::u64s(0..40)), 0..30)
+    ) {
+        let mut weighted = Histogram::default();
+        let mut single = Histogram::default();
+        for &(v, n) in &pairs {
+            let before = weighted.clone();
+            weighted.record_n(v, n);
+            if n == 0 {
+                assert_eq!(weighted, before, "record_n({v}, 0) changed the histogram");
+            }
+            for _ in 0..n {
+                single.record(v);
+            }
+        }
+        assert_eq!(weighted, single);
     }
 }
 

@@ -140,7 +140,7 @@ done
 grep -q '"schema": "fadewich-bench-v1"' "$workdir/bench1.json"
 grep -q '"matches_reference": true' "$workdir/bench1.json"
 grep -q '"matches_owned": true' "$workdir/bench1.json"
-for name in engine wire_decode wire_decode_borrowed mac_verify md_step \
+for name in engine engine_telemetry_on wire_decode wire_decode_borrowed mac_verify md_step \
     svm_predict_scalar svm_predict_batch kde_fit fleet_demux \
     controller_tick_allocs engine_ingest_allocs; do
     grep -q "\"name\": \"$name\"" "$workdir/bench1.json"
