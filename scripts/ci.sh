@@ -49,6 +49,14 @@ cargo run -q --release --offline -p fadewich-fleet --bin fadewichd -- replay \
 # decision.
 workdir="$(mktemp -d)"
 trap 'rm -rf "$workdir"' EXIT
+
+# Paper-reproduction gate: the default `reproduce` report (every paper
+# table and figure plus the deployment, streaming, recovery, artifact,
+# telemetry and extension studies) must stay byte-identical to the
+# committed fixture. A change that moves a paper number shows up here
+# and is re-pinned deliberately, line by line.
+cargo run -q --release --offline -p fadewich-bench --bin reproduce > "$workdir/reproduce.out"
+cmp fixtures/reproduce-default.out "$workdir/reproduce.out"
 cargo run -q --release --offline -p fadewich-fleet --bin fadewichd -- \
     train --out "$workdir/model.fwmb"
 cargo run -q --release --offline -p fadewich-fleet --bin fadewichd -- \
