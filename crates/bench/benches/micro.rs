@@ -178,13 +178,7 @@ fn bench_kma_is_idle_scan(c: &mut Criterion) {
 }
 
 fn bench_wire_codec(c: &mut Criterion) {
-    let frame = Frame {
-        office: 0,
-        sensor: 3,
-        seq: 12_345,
-        tick: 9_999,
-        values: (0..8).map(|i| -50.0 - i as f32).collect(),
-    };
+    let frame = Frame::rssi(3, 12_345, 9_999, (0..8).map(|i| -50.0 - i as f32).collect());
     let bytes = frame.encode();
     c.bench_function("wire_encode_decode_8_values", |b| {
         b.iter(|| {

@@ -347,48 +347,25 @@ impl<'a> Controller<'a> {
 
     /// Rebuilds a controller mid-day from a
     /// [`Controller::runtime_state`] export plus freshly reconstructed
-    /// collaborators (the artifact-loaded `re`, the scenario's `kma`).
-    /// Subsequent steps emit actions bit-identical to the controller
-    /// the state was captured from; the restored action log starts
-    /// empty (see [`ControllerState::n_actions`]).
+    /// collaborators (the artifact-loaded `re`, the scenario's `kma`)
+    /// and the deployment's `fusion` configuration, which is config, not
+    /// state ([`FusionConfig::rssi_only`] for an all-RSSI controller).
+    /// The light detector bank is restored bit-exactly from the state,
+    /// with its params from `fusion`, as the RSSI side reconstructs from
+    /// the artifact. Subsequent steps emit actions bit-identical to the
+    /// controller the state was captured from; the restored action log
+    /// starts empty (see [`ControllerState::n_actions`]).
     ///
     /// # Errors
     ///
-    /// [`Controller::new`] and [`MovementDetector::from_runtime_state`]
-    /// errors, plus a description when the state disagrees with the
-    /// collaborators (workstation or stream counts, history capacity)
+    /// [`Controller::with_fusion`] and
+    /// [`MovementDetector::from_runtime_state`] errors, plus a
+    /// description when the state disagrees with the collaborators
+    /// (workstation, stream or light-stream counts, history capacity)
     /// or is internally inconsistent (non-finite `prev_t`, FSM and
     /// `rule1_done` out of sync, sessions logged out yet alerted,
     /// stream histories out of lockstep).
     pub fn from_runtime_state(
-        n_streams: usize,
-        tick_hz: f64,
-        params: FadewichParams,
-        re: &'a RadioEnvironment,
-        kma: Kma<'a>,
-        state: &ControllerState,
-    ) -> Result<Controller<'a>, String> {
-        Controller::from_runtime_state_fused(
-            n_streams,
-            tick_hz,
-            params,
-            re,
-            kma,
-            FusionConfig::rssi_only(),
-            state,
-        )
-    }
-
-    /// [`Controller::from_runtime_state`] for a fusion-configured
-    /// controller: the light detector bank is restored bit-exactly
-    /// from the captured state (params come from `fusion`, exactly as
-    /// the RSSI side reconstructs from the artifact).
-    ///
-    /// # Errors
-    ///
-    /// Everything [`Controller::from_runtime_state`] rejects, plus a
-    /// light-stream count disagreeing with the fusion configuration.
-    pub fn from_runtime_state_fused(
         n_streams: usize,
         tick_hz: f64,
         params: FadewichParams,
@@ -1095,6 +1072,7 @@ mod tests {
             params,
             &re,
             Kma::new(&inputs),
+            FusionConfig::rssi_only(),
             &state,
         )
         .unwrap();
@@ -1127,7 +1105,8 @@ mod tests {
         }
         let good = ctl.runtime_state();
         let rebuild = |s: &ControllerState| {
-            Controller::from_runtime_state(n_streams, 5.0, params, &re, Kma::new(&inputs), s)
+            let rssi = FusionConfig::rssi_only();
+            Controller::from_runtime_state(n_streams, 5.0, params, &re, Kma::new(&inputs), rssi, s)
         };
         assert!(rebuild(&good).is_ok());
 
@@ -1399,7 +1378,7 @@ mod tests {
         }
         let state = pre.runtime_state();
         assert!(state.lights[0].armed, "cut should land with the detector armed");
-        let mut post = Controller::from_runtime_state_fused(
+        let mut post = Controller::from_runtime_state(
             n_streams,
             5.0,
             params,
@@ -1430,7 +1409,7 @@ mod tests {
         // A state with the wrong light-stream count is rejected.
         let mut bad = state.clone();
         bad.lights.pop();
-        assert!(Controller::from_runtime_state_fused(
+        assert!(Controller::from_runtime_state(
             n_streams,
             5.0,
             params,

@@ -26,9 +26,9 @@
 use fadewich_core::config::FadewichParams;
 use fadewich_core::controller::{Action, ActionKind};
 use fadewich_core::fusion::DecisionMode;
-use fadewich_officesim::{LightSimParams, Scenario, ScenarioConfig, ScheduleParams, Trace};
+use fadewich_officesim::{LightSimParams, Scenario, ScenarioConfig, ScheduleParams};
 use fadewich_runtime::link::LinkModel;
-use fadewich_runtime::replay;
+use fadewich_runtime::replay::{self, DayRun, Deployment, Layout};
 use fadewich_runtime::EngineConfig;
 
 use crate::par::timing;
@@ -178,38 +178,23 @@ pub fn fusion_study(
         replay::train_re(&scenario, &trace, &streams, train_days, &params)
     })?;
 
+    let deployment = Deployment { scenario: &scenario, trace: &trace, streams: &streams, re: &re };
     let link = LinkModel::lossless();
-    let telemetry = fadewich_telemetry::Telemetry::disabled();
+    let cfg = EngineConfig::new(trace.tick_hz(), params);
     let mut rows = Vec::new();
     for day in train_days..days {
-        let legacy = legacy_actions(&scenario, &trace, &streams, &re, day, &params, &link)?;
+        // The pre-refactor reference: the same day streamed through the
+        // untyped RSSI-only path (light columns never framed).
+        let legacy = DayRun::new(deployment, day, cfg, &link, 0xF10D).run()?.actions;
         for mode in [DecisionMode::RssiOnly, DecisionMode::LightOnly, DecisionMode::Fused] {
-            let cfg = EngineConfig::new(trace.tick_hz(), params);
-            let fusion = replay::fusion_for_trace(&trace, mode);
-            let out = replay::stream_day_fused(
-                &scenario, &trace, &streams, &re, day, cfg, fusion, &link, 0xF10D, &telemetry,
-            )?;
+            let layout = Layout::Fused(mode);
+            let out = DayRun { layout, ..DayRun::new(deployment, day, cfg, &link, 0xF10D) }.run()?;
             let parity = (mode == DecisionMode::RssiOnly)
                 .then(|| format!("{:?}", out.actions) == format!("{legacy:?}"));
             rows.push(score(mode, day, &out.actions, &scenario, parity));
         }
     }
     Ok(rows)
-}
-
-/// The pre-refactor reference: the same day streamed through the
-/// untyped RSSI-only path (light columns never framed).
-fn legacy_actions(
-    scenario: &Scenario,
-    trace: &Trace,
-    streams: &[usize],
-    re: &fadewich_core::re::RadioEnvironment,
-    day: usize,
-    params: &FadewichParams,
-    link: &LinkModel,
-) -> Result<Vec<Action>, String> {
-    let cfg = EngineConfig::new(trace.tick_hz(), *params);
-    Ok(replay::stream_day(scenario, trace, streams, re, day, cfg, link, 0xF10D)?.actions)
 }
 
 /// Renders the ablation as the `reproduce fusion` table.

@@ -13,7 +13,7 @@
 use fadewich_core::FadewichParams;
 use fadewich_officesim::{ScenarioConfig, ScheduleParams};
 use fadewich_runtime::link::LinkModel;
-use fadewich_runtime::replay;
+use fadewich_runtime::replay::{self, DayRun, Deployment};
 use fadewich_runtime::EngineConfig;
 use fadewich_telemetry::{Profile, Telemetry};
 
@@ -57,6 +57,8 @@ pub fn profile_study(
         )
     })?;
     let hz = experiment.trace.tick_hz();
+    let (scenario, trace) = (&experiment.scenario, &experiment.trace);
+    let deployment = Deployment { scenario, trace, streams: &streams, re: &re };
 
     let per_day: Result<Vec<(usize, Profile)>, String> =
         timing::time_stage("profile::replay", || {
@@ -64,17 +66,9 @@ pub fn profile_study(
                 let day = train_days + i;
                 let telemetry = Telemetry::buffering();
                 let cfg = EngineConfig::new(hz, experiment.params);
-                replay::stream_day_with_telemetry(
-                    &experiment.scenario,
-                    &experiment.trace,
-                    &streams,
-                    &re,
-                    day,
-                    cfg,
-                    &LinkModel::lossless(),
-                    0xF10D,
-                    &telemetry,
-                )?;
+                let link = LinkModel::lossless();
+                let run = DayRun::new(deployment, day, cfg, &link, 0xF10D);
+                DayRun { telemetry: telemetry.clone(), ..run }.run()?;
                 Ok((day, Profile::from_records(&telemetry.records())))
             })
             .into_iter()

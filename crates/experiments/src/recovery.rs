@@ -15,7 +15,9 @@
 use std::path::PathBuf;
 
 use fadewich_runtime::checkpoint::CheckpointStore;
-use fadewich_runtime::replay;
+use fadewich_runtime::replay::{
+    self, Checkpointing, CrashPoint, DayReplay, DayRun, Deployment, Layout,
+};
 use fadewich_runtime::EngineConfig;
 
 use crate::experiment::Experiment;
@@ -83,6 +85,9 @@ pub fn recovery_study(
         replay::train_re(&experiment.scenario, &experiment.trace, &streams, train_days, &experiment.params)
     })?;
 
+    let (scenario, trace) = (&experiment.scenario, &experiment.trace);
+    let deployment = Deployment { scenario, trace, streams: &streams, re: &re };
+    let (groups, _) = Layout::Rssi.resolve(&experiment.trace, &streams);
     let link = stress_link();
     let link_seed = 0xF10D;
     let day_rows = timing::time_stage("recovery::cycles", || {
@@ -90,12 +95,10 @@ pub fn recovery_study(
             let day = train_days + i;
             let mut cfg = EngineConfig::new(experiment.trace.tick_hz(), experiment.params);
             cfg.jitter_ticks = cfg.jitter_ticks.max(link.jitter_ticks);
-            let reference = replay::stream_day(
-                &experiment.scenario, &experiment.trace, &streams, &re, day, cfg, &link, link_seed,
-            )?;
-            let groups = experiment.trace.receiver_groups(&streams);
+            let new_run = || DayRun::new(deployment, day, cfg, &link, link_seed);
+            let reference = new_run().run()?;
             let n_deliveries = replay::day_deliveries(
-                &experiment.trace, &streams, &groups, day, &link, link_seed,
+                &experiment.trace, &streams, &groups, day, 0, &link, link_seed,
             )?
             .len() as u64;
 
@@ -105,10 +108,7 @@ pub fn recovery_study(
                 let dir = scratch_dir(day, pct);
                 std::fs::create_dir_all(&dir)
                     .map_err(|e| format!("creating {}: {e}", dir.display()))?;
-                let row = crash_cycle(
-                    experiment, &streams, &re, day, cfg, &link, link_seed,
-                    &reference, crash_delivery, pct, &dir,
-                );
+                let row = crash_cycle(&new_run, &reference, crash_delivery, pct, &dir);
                 let _ = std::fs::remove_dir_all(&dir);
                 rows.push(row?);
             }
@@ -123,26 +123,19 @@ pub fn recovery_study(
     Ok(rows)
 }
 
-/// One crash-at-`crash_delivery` / resume cycle against `reference`.
-#[allow(clippy::too_many_arguments)]
-fn crash_cycle(
-    experiment: &Experiment,
-    streams: &[usize],
-    re: &fadewich_core::re::RadioEnvironment,
-    day: usize,
-    cfg: EngineConfig,
-    link: &fadewich_runtime::link::LinkModel,
-    link_seed: u64,
-    reference: &replay::DayReplay,
+/// One crash-at-`crash_delivery` / resume cycle of the day `new_run`
+/// streams, against its uninterrupted `reference`.
+fn crash_cycle<'a>(
+    new_run: impl Fn() -> DayRun<'a>,
+    reference: &DayReplay,
     crash_delivery: u64,
     pct: u64,
     dir: &std::path::Path,
 ) -> Result<RecoveryRow, String> {
     let mut store = CheckpointStore::open(dir).map_err(|e| e.to_string())?;
-    let crashed = replay::stream_day_checkpointed(
-        &experiment.scenario, &experiment.trace, streams, re, day, cfg, link, link_seed,
-        &mut store, Some(crash_delivery),
-    )?;
+    let crash = Some(CrashPoint::AfterDeliveries(crash_delivery));
+    let checkpoint = Some(Checkpointing { store: &mut store, stamp_base: 0, crash });
+    let crashed = DayRun { checkpoint, ..new_run() }.run()?;
 
     // Reopen, as a restarted process would.
     let mut store = CheckpointStore::open(dir).map_err(|e| e.to_string())?;
@@ -156,18 +149,11 @@ fn crash_cycle(
 
     let (resumed_from, prefix_actions, resumed) = match &outcome.snapshot {
         Some((_, snap)) => {
-            let resumed = replay::resume_day(
-                &experiment.scenario, &experiment.trace, streams, re, cfg, link, link_seed, snap,
-            )?;
+            let resumed = DayRun { resume: Some(snap), ..new_run() }.run()?;
             (snap.stream_pos, snap.controller.n_actions as usize, resumed)
         }
         // Crash before the first checkpoint: cold restart of the day.
-        None => {
-            let rerun = replay::stream_day(
-                &experiment.scenario, &experiment.trace, streams, re, day, cfg, link, link_seed,
-            )?;
-            (0, 0, rerun)
-        }
+        None => (0, 0, new_run().run()?),
     };
 
     let stitched: Vec<&fadewich_core::controller::Action> = crashed.actions[..prefix_actions]
@@ -176,7 +162,7 @@ fn crash_cycle(
         .collect();
     let full: Vec<&fadewich_core::controller::Action> = reference.actions.iter().collect();
     Ok(RecoveryRow {
-        day,
+        day: reference.day,
         crash_fraction: pct as f64 / 100.0,
         crash_delivery,
         resumed_from,

@@ -11,7 +11,7 @@
 //! stays byte-identical across thread counts.
 
 use fadewich_runtime::link::LinkModel;
-use fadewich_runtime::replay;
+use fadewich_runtime::replay::{self, DayRun, Deployment};
 use fadewich_runtime::EngineConfig;
 
 use crate::experiment::Experiment;
@@ -74,6 +74,8 @@ pub fn streaming_comparison(
         replay::train_re(&experiment.scenario, &experiment.trace, &streams, train_days, &experiment.params)
     })?;
 
+    let (scenario, trace) = (&experiment.scenario, &experiment.trace);
+    let deployment = Deployment { scenario, trace, streams: &streams, re: &re };
     let lossy = stress_link();
     let day_rows = timing::time_stage("streaming::replay", || {
         par::par_map_indices(n_days - train_days, |i| -> Result<_, String> {
@@ -85,9 +87,7 @@ pub fn streaming_comparison(
             for (label, link) in [("lossless", LinkModel::lossless()), ("lossy", lossy)] {
                 let mut cfg = EngineConfig::new(experiment.trace.tick_hz(), experiment.params);
                 cfg.jitter_ticks = cfg.jitter_ticks.max(link.jitter_ticks);
-                let out = replay::stream_day(
-                    &experiment.scenario, &experiment.trace, &streams, &re, day, cfg, &link, 0xF10D,
-                )?;
+                let out = DayRun::new(deployment, day, cfg, &link, 0xF10D).run()?;
                 let c = &out.counters;
                 rows.push(StreamingDayRow {
                     day,

@@ -13,7 +13,7 @@
 //! runs and thread counts.
 
 use fadewich_runtime::link::LinkModel;
-use fadewich_runtime::replay;
+use fadewich_runtime::replay::{self, DayRun, Deployment};
 use fadewich_runtime::EngineConfig;
 use fadewich_telemetry::{Telemetry, Value};
 
@@ -64,23 +64,17 @@ pub fn latency_study(
         replay::train_re(&experiment.scenario, &experiment.trace, &streams, train_days, &experiment.params)
     })?;
     let hz = experiment.trace.tick_hz();
+    let (scenario, trace) = (&experiment.scenario, &experiment.trace);
+    let deployment = Deployment { scenario, trace, streams: &streams, re: &re };
 
     let day_rows = timing::time_stage("telemetry::replay", || {
         par::par_map_indices(n_days - train_days, |i| -> Result<_, String> {
             let day = train_days + i;
             let telemetry = Telemetry::buffering();
             let cfg = EngineConfig::new(hz, experiment.params);
-            replay::stream_day_with_telemetry(
-                &experiment.scenario,
-                &experiment.trace,
-                &streams,
-                &re,
-                day,
-                cfg,
-                &LinkModel::lossless(),
-                0xF10D,
-                &telemetry,
-            )?;
+            let link = LinkModel::lossless();
+            let run = DayRun::new(deployment, day, cfg, &link, 0xF10D);
+            DayRun { telemetry: telemetry.clone(), ..run }.run()?;
 
             let mut windows = 0u64;
             let mut evals = 0u64;

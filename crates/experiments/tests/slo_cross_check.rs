@@ -11,7 +11,7 @@ use fadewich_experiments::experiment::Experiment;
 use fadewich_experiments::telemetry::latency_study;
 use fadewich_officesim::{ScenarioConfig, ScheduleParams};
 use fadewich_runtime::link::LinkModel;
-use fadewich_runtime::replay;
+use fadewich_runtime::replay::{self, DayRun, Deployment};
 use fadewich_runtime::EngineConfig;
 use fadewich_telemetry::{SloEngine, Telemetry};
 
@@ -55,18 +55,12 @@ fn slo_latency_matches_the_latency_study_exactly() {
     let hz = experiment.trace.tick_hz();
     let telemetry = Telemetry::buffering();
     telemetry.set_slo(SloEngine::standard(hz));
-    replay::stream_day_with_telemetry(
-        &experiment.scenario,
-        &experiment.trace,
-        &streams,
-        &re,
-        train_days,
-        EngineConfig::new(hz, experiment.params),
-        &LinkModel::lossless(),
-        0xF10D,
-        &telemetry,
-    )
-    .unwrap();
+    let cfg = EngineConfig::new(hz, experiment.params);
+    let link = LinkModel::lossless();
+    let (scenario, trace) = (&experiment.scenario, &experiment.trace);
+    let deployment = Deployment { scenario, trace, streams: &streams, re: &re };
+    let run = DayRun::new(deployment, train_days, cfg, &link, 0xF10D);
+    DayRun { telemetry: telemetry.clone(), ..run }.run().unwrap();
 
     let statuses = telemetry.with_slo(|s| s.statuses()).unwrap();
     let slo = statuses.iter().find(|s| s.name == "deauth_latency").unwrap();

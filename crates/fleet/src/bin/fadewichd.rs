@@ -86,17 +86,17 @@ use std::path::PathBuf;
 
 use fadewich_core::artifact::ModelBundle;
 use fadewich_core::config::FadewichParams;
-use fadewich_core::kma::Kma;
 use fadewich_core::re::RadioEnvironment;
 use fadewich_fleet::day::{
-    event_line, office_dir, run_fleet_day, FleetDayEnv, FleetRecovery, FleetSink, OfficeRecovery,
-    OfficeStart, DEFAULT_ADVANCE_EVERY,
+    office_dir, run_fleet_day, FleetDayEnv, FleetRecovery, FleetSink, OfficeRecovery, OfficeStart,
+    DEFAULT_ADVANCE_EVERY,
 };
 use fadewich_officesim::{Scenario, ScenarioConfig, ScheduleParams, Trace};
-use fadewich_runtime::checkpoint::{CheckpointStore, Checkpointer, EngineSnapshot};
-use fadewich_runtime::engine::{EngineConfig, EngineEvent, StreamingEngine};
+use fadewich_runtime::checkpoint::{CheckpointStore, EngineSnapshot};
+use fadewich_runtime::daylog::LineSink;
+use fadewich_runtime::engine::{EngineConfig, EngineEvent};
 use fadewich_runtime::link::LinkModel;
-use fadewich_runtime::replay;
+use fadewich_runtime::replay::{self, Checkpointing, CrashPoint, DayRun, Deployment};
 use fadewich_telemetry::{json, OpsServer, Profile, SloEngine, Telemetry, Value, WallClock};
 
 /// Everything that can take the daemon down, with a distinct exit
@@ -334,231 +334,141 @@ where
     s.parse().map_err(|e| format!("bad value {s:?}: {e}"))
 }
 
-/// The crash-recovery context for a checkpointed serve: the store, the
-/// decision-log tee, and how many log bytes are committed so far.
-struct RecoveryCtx {
-    store: CheckpointStore,
-    log: std::fs::File,
-    log_mark: u64,
+/// A decision log opened at its committed mark.
+struct DecisionLog {
+    file: std::fs::File,
+    /// Bytes written so far — what a checkpoint records as committed.
+    mark: u64,
 }
 
-/// Prints one line to stdout and, when recovering, tees it into the
-/// decision log so a resumed run can pick up exactly where the bytes
-/// stop.
-fn emit(line: &str, recovery: &mut Option<RecoveryCtx>) -> Result<(), DaemonError> {
-    println!("{line}");
-    if let Some(ctx) = recovery {
-        ctx.log
+impl DecisionLog {
+    fn write_line(&mut self, line: &str) -> Result<(), String> {
+        self.file
             .write_all(line.as_bytes())
-            .and_then(|()| ctx.log.write_all(b"\n"))
-            .map_err(|e| DaemonError::Io(format!("writing: {e}")))?;
-        ctx.log_mark += line.len() as u64 + 1;
+            .and_then(|()| self.file.write_all(b"\n"))
+            .map_err(|e| format!("decision log: writing: {e}"))?;
+        self.mark += line.len() as u64 + 1;
+        Ok(())
     }
-    Ok(())
 }
 
-/// Prints every engine event not yet printed; returns the new printed
-/// count. The line format is the fleet crate's [`event_line`], shared
-/// so fleet logs and serve logs are rendered by the same code.
-fn flush_events(
-    engine: &StreamingEngine<'_>,
-    printed: usize,
-    recovery: &mut Option<RecoveryCtx>,
-) -> Result<usize, DaemonError> {
-    let events = engine.events();
-    for ev in &events[printed..] {
-        emit(&event_line(ev), recovery)?;
-    }
-    Ok(events.len())
-}
+/// `serve`/`replay`'s decision stream: stdout, teed into the decision
+/// log when recovering so a resumed run picks up exactly where the
+/// bytes stop.
+struct ServeSink(Option<DecisionLog>);
 
-/// Streams (or resumes) one day incrementally: ingest a delivery,
-/// print what it produced, checkpoint when due, crash when told to.
-/// `base_ticks` is the cumulative tick count of all previously served
-/// days, so checkpoint stamps grow monotonically across the run.
-#[allow(clippy::too_many_arguments)]
-fn drive_day(
-    scenario: &Scenario,
-    trace: &Trace,
-    streams: &[usize],
-    re: &RadioEnvironment,
-    day: usize,
-    cfg: EngineConfig,
-    args: &Args,
-    recovery: &mut Option<RecoveryCtx>,
-    base_ticks: u64,
-    resume: Option<&EngineSnapshot>,
-    telemetry: &Telemetry,
-) -> Result<(), DaemonError> {
-    let groups = trace.receiver_groups(streams);
-    let inputs = scenario.input_trace(day, 0);
-    let kma = Kma::new(&inputs);
-    let mut checkpointer = Checkpointer::new(cfg.checkpoint_every_ticks);
-    let (mut engine, start) = match resume {
-        Some(snap) => {
-            let engine = StreamingEngine::restore(cfg, groups.clone(), re, kma, snap)
-                .map_err(DaemonError::Engine)?;
-            // Everything up to the checkpoint was already printed and
-            // committed pre-crash; the day header included.
-            checkpointer.advance(engine.counters().ticks_processed);
-            (engine, snap.stream_pos as usize)
-        }
-        None => {
-            let engine = StreamingEngine::new(cfg, groups.clone(), re, kma)
-                .map_err(DaemonError::Engine)?;
-            emit(&format!("== day {day} =="), recovery)?;
-            (engine, 0)
-        }
-    };
-    engine.set_telemetry(telemetry.clone());
-    let deliveries =
-        replay::day_deliveries(trace, streams, &groups, day, &args.link, args.link_seed)
-            .map_err(DaemonError::Engine)?;
-    if start > deliveries.len() {
-        return Err(DaemonError::Checkpoint(format!(
-            "checkpoint claims {start} ingested deliveries but day {day} only has {}",
-            deliveries.len()
-        )));
+impl LineSink for ServeSink {
+    fn emit(&mut self, line: &str) -> Result<(), String> {
+        println!("{line}");
+        self.0.as_mut().map_or(Ok(()), |log| log.write_line(line))
     }
-    let mut printed = 0usize;
-    for (i, bytes) in deliveries.iter().enumerate().skip(start) {
-        engine.ingest_bytes(bytes);
-        printed = flush_events(&engine, printed, recovery)?;
-        let ticks = engine.counters().ticks_processed;
-        if let Some(ctx) = recovery.as_mut() {
-            if checkpointer.due(ticks) {
-                let snap = engine.snapshot(day as u32, (i + 1) as u64, ctx.log_mark);
-                ctx.store
-                    .save(base_ticks + ticks, &snap)
-                    .map_err(|e| DaemonError::Checkpoint(e.to_string()))?;
-                telemetry.counter_add("checkpoint_saves", 1);
-                telemetry.event(
-                    ticks,
-                    "checkpoint_saved",
-                    None,
-                    &[
-                        ("stamp", Value::U64(base_ticks + ticks)),
-                        ("stream_pos", Value::U64((i + 1) as u64)),
-                    ],
-                );
-                checkpointer.advance(ticks);
-            }
-        }
-        if args.crash_after_ticks.is_some_and(|n| base_ticks + ticks >= n) {
-            eprintln!(
-                "fadewichd: injected crash at tick {} (--crash-after-ticks)",
-                base_ticks + ticks
-            );
-            std::process::abort();
-        }
+
+    fn log_mark(&mut self) -> u64 {
+        self.0.as_ref().map_or(0, |log| log.mark)
     }
-    engine.finish(trace.days()[day].n_ticks() as u64);
-    flush_events(&engine, printed, recovery)?;
-    engine.counters().export_into(telemetry);
-    telemetry.counter_add("runtime_days_streamed", 1);
-    emit(&engine.counters().deterministic_summary(), recovery)?;
-    // Wall-clock latency goes to stderr so stdout stays
-    // byte-comparable between `replay` and `serve --model`.
-    eprintln!("{}", engine.counters().latency_summary());
-    if args.json {
-        emit(&engine.counters().to_json(), recovery)?;
-    }
-    Ok(())
 }
 
 /// Streams every post-training day through the engine, printing the
 /// decision stream to stdout. Identical for `replay` and `serve`: the
-/// only difference between them is where `re` came from. When
-/// `resume` carries a loaded checkpoint, already-complete days are
-/// skipped and the checkpointed day continues from its recorded
-/// delivery position.
-#[allow(clippy::too_many_arguments)]
+/// only difference between them is where `re` came from. With a
+/// recovery context the days checkpoint as they stream; days completed
+/// before a crash are skipped and the checkpointed day resumes from
+/// its recorded delivery position.
 fn stream_days(
-    scenario: &Scenario,
-    trace: &Trace,
-    streams: &[usize],
-    re: &RadioEnvironment,
+    deployment: Deployment<'_>,
     cfg: EngineConfig,
     args: &Args,
-    mut recovery: Option<RecoveryCtx>,
-    mut resume: Option<EngineSnapshot>,
+    recovery: Option<Recovery>,
     telemetry: &Telemetry,
 ) -> Result<(), DaemonError> {
+    let (mut store, mut resume, mut sink) = match recovery {
+        Some(rec) => (Some(rec.store), rec.resume.map(|(_, snap)| snap), ServeSink(Some(rec.log))),
+        None => (None, None, ServeSink(None)),
+    };
+    let crash = args.crash_after_ticks.map(CrashPoint::AtStamp);
     let mut base_ticks: u64 = 0;
-    for day in args.train_days..trace.days().len() {
-        let n_ticks = trace.days()[day].n_ticks() as u64;
+    for day in args.train_days..deployment.trace.days().len() {
+        let n_ticks = deployment.trace.days()[day].n_ticks() as u64;
         if resume.as_ref().is_some_and(|s| day < s.day as usize) {
             // Fully committed before the crash: its output is already
             // in the decision log, below the checkpointed mark.
             base_ticks += n_ticks;
             continue;
         }
-        let snap = if resume.as_ref().is_some_and(|s| s.day as usize == day) {
-            resume.take()
-        } else {
-            None
-        };
-        drive_day(
-            scenario, trace, streams, re, day, cfg, args, &mut recovery, base_ticks,
-            snap.as_ref(), telemetry,
-        )?;
+        let snap = resume.take_if(|s| s.day as usize == day);
+        let checkpoint =
+            store.as_mut().map(|store| Checkpointing { store, stamp_base: base_ticks, crash });
+        let out = DayRun {
+            telemetry: telemetry.clone(),
+            resume: snap.as_ref(),
+            checkpoint,
+            lines: Some(&mut sink),
+            ..DayRun::new(deployment, day, cfg, &args.link, args.link_seed)
+        }
+        .run()
+        .map_err(daemon_err)?;
+        if out.crashed {
+            eprintln!(
+                "fadewichd: injected crash at tick {} (--crash-after-ticks)",
+                base_ticks + out.counters.ticks_processed
+            );
+            std::process::abort();
+        }
+        // Wall-clock latency goes to stderr so stdout stays
+        // byte-comparable between `replay` and `serve --model`.
+        eprintln!("{}", out.counters.latency_summary());
+        if args.json {
+            sink.emit(&out.counters.to_json()).map_err(daemon_err)?;
+        }
         base_ticks += n_ticks;
     }
     Ok(())
 }
 
-/// Opens the checkpoint directory, reports and skips corrupt images,
-/// truncates the decision log to the committed mark, and returns the
-/// recovery context plus the snapshot to resume from (if any).
+/// A checkpoint namespace opened for a (re)start: its store, its
+/// decision log truncated to the committed mark, and the newest valid
+/// image with its stamp — none meaning cold start.
+struct Recovery {
+    store: CheckpointStore,
+    log: DecisionLog,
+    resume: Option<(u64, EngineSnapshot)>,
+}
+
+/// Opens the checkpoint namespace `dir` — serve's directory, or one
+/// fleet office's (`who` names it in messages): reports and skips
+/// corrupt images, validates the checkpointed day, and truncates the
+/// decision log to the committed mark.
 fn open_recovery(
     dir: &std::path::Path,
+    who: &str,
     trace: &Trace,
     train_days: usize,
     telemetry: &Telemetry,
-) -> Result<(RecoveryCtx, Option<EngineSnapshot>), DaemonError> {
+) -> Result<Recovery, DaemonError> {
     let mut store =
         CheckpointStore::open(dir).map_err(|e| DaemonError::Checkpoint(e.to_string()))?;
     let outcome = store.load_latest().map_err(|e| DaemonError::Checkpoint(e.to_string()))?;
     for (path, err) in &outcome.rejected {
         telemetry.counter_add("checkpoint_corrupt_skipped", 1);
-        eprintln!("fadewichd: skipping corrupt checkpoint {}: {err}", path.display());
+        eprintln!("fadewichd: {who}skipping corrupt checkpoint {}: {err}", path.display());
     }
-    let snapshot = match outcome.snapshot {
-        Some((stamp, snap)) => {
-            let day = snap.day as usize;
-            if day < train_days || day >= trace.days().len() {
-                return Err(DaemonError::Checkpoint(format!(
-                    "checkpoint is for day {day}, outside the served range \
-                     {train_days}..{}",
-                    trace.days().len()
-                )));
-            }
-            eprintln!(
-                "fadewichd: resuming day {day} from checkpoint stamp {stamp} \
-                 ({} deliveries ingested, {} log bytes committed)",
-                snap.stream_pos, snap.log_mark
-            );
-            telemetry.counter_add("checkpoint_restores", 1);
-            telemetry.event(
-                snap.counters.ticks_processed,
-                "checkpoint_restored",
-                None,
-                &[
-                    ("stamp", Value::U64(stamp)),
-                    ("day", Value::U64(u64::from(snap.day))),
-                    ("stream_pos", Value::U64(snap.stream_pos)),
-                ],
-            );
-            Some(snap)
+    if let Some((stamp, snap)) = &outcome.snapshot {
+        let day = snap.day as usize;
+        if day < train_days || day >= trace.days().len() {
+            return Err(DaemonError::Checkpoint(format!(
+                "{who}checkpoint is for day {day}, outside the served range {train_days}..{}",
+                trace.days().len()
+            )));
         }
-        None => {
-            eprintln!("fadewichd: no usable checkpoint, cold start");
-            telemetry.counter_add("checkpoint_cold_starts", 1);
-            None
-        }
-    };
+        eprintln!(
+            "fadewichd: {who}resuming day {day} from checkpoint stamp {stamp} \
+             ({} deliveries ingested, {} log bytes committed)",
+            snap.stream_pos, snap.log_mark
+        );
+        telemetry.counter_add("checkpoint_restores", 1);
+    }
     let log_path = dir.join("decisions.log");
-    let mut log = std::fs::OpenOptions::new()
+    let mut file = std::fs::OpenOptions::new()
         .create(true)
         .read(true)
         .write(true)
@@ -568,11 +478,11 @@ fn open_recovery(
         .truncate(false)
         .open(&log_path)
         .map_err(|e| DaemonError::Io(format!("opening {}: {e}", log_path.display())))?;
-    let log_mark = snapshot.as_ref().map_or(0, |s| s.log_mark);
-    log.set_len(log_mark)
-        .and_then(|()| log.seek(SeekFrom::Start(log_mark)).map(|_| ()))
+    let mark = outcome.snapshot.as_ref().map_or(0, |(_, s)| s.log_mark);
+    file.set_len(mark)
+        .and_then(|()| file.seek(SeekFrom::Start(mark)).map(|_| ()))
         .map_err(|e| DaemonError::Io(format!("truncating {}: {e}", log_path.display())))?;
-    Ok((RecoveryCtx { store, log, log_mark }, snapshot))
+    Ok(Recovery { store, log: DecisionLog { file, mark }, resume: outcome.snapshot })
 }
 
 /// Builds the run's telemetry handle from the `--trace-out` /
@@ -714,84 +624,22 @@ fn run_stats(path: &std::path::Path) -> Result<(), DaemonError> {
 /// (`logs[o]` is `None` everywhere) lines are dropped and only the
 /// stdout rollup survives — fine for a fleet nobody intends to resume.
 struct FleetLogSink {
-    /// Per office: the open log plus its committed byte count.
-    logs: Vec<Option<(std::fs::File, u64)>>,
+    logs: Vec<Option<DecisionLog>>,
 }
 
 impl FleetSink for FleetLogSink {
     fn emit(&mut self, office: u16, line: &str) -> Result<(), String> {
-        if let Some((log, mark)) = &mut self.logs[usize::from(office)] {
-            log.write_all(line.as_bytes())
-                .and_then(|()| log.write_all(b"\n"))
-                .map_err(|e| format!("office {office} decision log: writing: {e}"))?;
-            *mark += line.len() as u64 + 1;
-        }
-        Ok(())
+        self.logs[usize::from(office)].as_mut().map_or(Ok(()), |log| log.write_line(line))
     }
 
     fn log_mark(&mut self, office: u16) -> u64 {
-        self.logs[usize::from(office)].as_ref().map_or(0, |&(_, mark)| mark)
+        self.logs[usize::from(office)].as_ref().map_or(0, |log| log.mark)
     }
 }
 
-/// Opens one office's checkpoint namespace under the fleet root:
-/// loads its newest valid image (reporting corrupt ones), validates
-/// the checkpointed day, and truncates its decision log to the
-/// committed mark — serve's `open_recovery`, per tenant.
-fn open_office_recovery(
-    root: &std::path::Path,
-    office: u16,
-    trace: &Trace,
-    train_days: usize,
-    telemetry: &Telemetry,
-) -> Result<(OfficeRecovery, (std::fs::File, u64), Option<EngineSnapshot>), DaemonError> {
-    let dir = office_dir(root, office);
-    let mut store =
-        CheckpointStore::open(&dir).map_err(|e| DaemonError::Checkpoint(e.to_string()))?;
-    let outcome = store.load_latest().map_err(|e| DaemonError::Checkpoint(e.to_string()))?;
-    for (path, err) in &outcome.rejected {
-        telemetry.counter_add("checkpoint_corrupt_skipped", 1);
-        eprintln!(
-            "fadewichd: office {office}: skipping corrupt checkpoint {}: {err}",
-            path.display()
-        );
-    }
-    let snapshot = match outcome.snapshot {
-        Some((stamp, snap)) => {
-            let day = snap.day as usize;
-            if day < train_days || day >= trace.days().len() {
-                return Err(DaemonError::Checkpoint(format!(
-                    "office {office}: checkpoint is for day {day}, outside the served range \
-                     {train_days}..{}",
-                    trace.days().len()
-                )));
-            }
-            eprintln!(
-                "fadewichd: office {office}: resuming day {day} from checkpoint stamp {stamp}"
-            );
-            telemetry.counter_add("checkpoint_restores", 1);
-            Some(snap)
-        }
-        None => None,
-    };
-    let log_path = dir.join("decisions.log");
-    let mut log = std::fs::OpenOptions::new()
-        .create(true)
-        .read(true)
-        .write(true)
-        .truncate(false)
-        .open(&log_path)
-        .map_err(|e| DaemonError::Io(format!("opening {}: {e}", log_path.display())))?;
-    let log_mark = snapshot.as_ref().map_or(0, |s| s.log_mark);
-    log.set_len(log_mark)
-        .and_then(|()| log.seek(SeekFrom::Start(log_mark)).map(|_| ()))
-        .map_err(|e| DaemonError::Io(format!("truncating {}: {e}", log_path.display())))?;
-    Ok((OfficeRecovery { store }, (log, log_mark), snapshot))
-}
-
-/// Classifies a fleet-library error string into the daemon's exit-code
+/// Classifies a driver error string into the daemon's exit-code
 /// taxonomy.
-fn fleet_err(e: String) -> DaemonError {
+fn daemon_err(e: String) -> DaemonError {
     if e.contains("checkpoint") {
         DaemonError::Checkpoint(e)
     } else if e.contains("decision log") {
@@ -815,23 +663,20 @@ fn run_fleet(
     telemetry: &Telemetry,
 ) -> Result<(), DaemonError> {
     let n = args.offices;
-    let mut logs: Vec<Option<(std::fs::File, u64)>> = Vec::with_capacity(n);
+    let mut logs: Vec<Option<DecisionLog>> = Vec::with_capacity(n);
     let mut resumes: Vec<Option<EngineSnapshot>> = vec![None; n];
     let mut recovery: Option<FleetRecovery> = match &args.checkpoint_dir {
         Some(root) => {
             let mut offices = Vec::with_capacity(n);
-            let mut cold = 0usize;
-            for o in 0..n {
-                let (office, log, snap) =
-                    open_office_recovery(root, o as u16, trace, args.train_days, telemetry)?;
-                offices.push(office);
-                logs.push(Some(log));
-                if snap.is_none() {
-                    cold += 1;
-                }
-                resumes[o] = snap;
+            for (o, resume) in resumes.iter_mut().enumerate() {
+                let dir = office_dir(root, o as u16);
+                let who = format!("office {o}: ");
+                let rec = open_recovery(&dir, &who, trace, args.train_days, telemetry)?;
+                offices.push(OfficeRecovery { store: rec.store });
+                logs.push(Some(rec.log));
+                *resume = rec.resume.map(|(_, snap)| snap);
             }
-            if cold == n {
+            if resumes.iter().all(Option::is_none) {
                 eprintln!("fadewichd fleet: no usable checkpoints, cold start");
                 telemetry.counter_add("checkpoint_cold_starts", 1);
             }
@@ -868,7 +713,7 @@ fn run_fleet(
             advance_every: DEFAULT_ADVANCE_EVERY,
         };
         let report = run_fleet_day(&env, starts, args.shards, recovery.as_mut(), &mut sink, telemetry)
-            .map_err(fleet_err)?;
+            .map_err(daemon_err)?;
         if report.crashed {
             eprintln!(
                 "fadewichd fleet: injected crash during day {day} (--crash-after-ticks)"
@@ -1001,17 +846,32 @@ fn run() -> Result<(), DaemonError> {
                 streams.len(),
                 args.link
             );
-            let (recovery, resume) = match &args.checkpoint_dir {
+            let recovery = match &args.checkpoint_dir {
                 Some(dir) => {
-                    let (ctx, snap) = open_recovery(dir, &trace, args.train_days, &telemetry)?;
-                    (Some(ctx), snap)
+                    let rec = open_recovery(dir, "", &trace, args.train_days, &telemetry)?;
+                    match &rec.resume {
+                        Some((stamp, snap)) => telemetry.event(
+                            snap.counters.ticks_processed,
+                            "checkpoint_restored",
+                            None,
+                            &[
+                                ("stamp", Value::U64(*stamp)),
+                                ("day", Value::U64(u64::from(snap.day))),
+                                ("stream_pos", Value::U64(snap.stream_pos)),
+                            ],
+                        ),
+                        None => {
+                            eprintln!("fadewichd: no usable checkpoint, cold start");
+                            telemetry.counter_add("checkpoint_cold_starts", 1);
+                        }
+                    }
+                    Some(rec)
                 }
-                None => (None, None),
+                None => None,
             };
-            stream_days(
-                &scenario, &trace, &streams, &bundle.re, cfg, &args, recovery, resume,
-                &telemetry,
-            )?;
+            let deployment =
+                Deployment { scenario: &scenario, trace: &trace, streams: &streams, re: &bundle.re };
+            stream_days(deployment, cfg, &args, recovery, &telemetry)?;
             finish_telemetry(&args, &telemetry)
         }
         Command::Fleet { model } => {
@@ -1050,7 +910,9 @@ fn run() -> Result<(), DaemonError> {
                 None => replay::train_re(&scenario, &trace, &streams, args.train_days, &params)
                     .map_err(DaemonError::Engine)?,
             };
-            stream_days(&scenario, &trace, &streams, &re, cfg, &args, None, None, &telemetry)?;
+            let deployment =
+                Deployment { scenario: &scenario, trace: &trace, streams: &streams, re: &re };
+            stream_days(deployment, cfg, &args, None, &telemetry)?;
             finish_telemetry(&args, &telemetry)
         }
     };

@@ -36,15 +36,17 @@
 
 use std::path::{Path, PathBuf};
 
+use fadewich_core::fusion::FusionConfig;
 use fadewich_core::kma::Kma;
 use fadewich_core::re::RadioEnvironment;
-use fadewich_core::stream::ChannelKind;
+use fadewich_core::stream::{rssi_groups, ChannelKind};
 use fadewich_officesim::{Scenario, Trace};
-use fadewich_runtime::checkpoint::{CheckpointStore, Checkpointer, EngineSnapshot};
+use fadewich_runtime::checkpoint::{CheckpointStore, EngineSnapshot};
 use fadewich_runtime::counters::{ChannelCounters, RuntimeCounters};
+use fadewich_runtime::daylog::{DayLog, LineSink};
 use fadewich_runtime::engine::{EngineConfig, EngineEvent, StreamingEngine};
 use fadewich_runtime::link::LinkModel;
-use fadewich_runtime::replay::{day_deliveries_for_office, day_deliveries_for_office_into};
+use fadewich_runtime::replay::{day_deliveries_for_office_into, DayRun, Deployment};
 use fadewich_telemetry::Telemetry;
 
 use crate::health::{export_health, FleetHealth, OfficeStat};
@@ -66,26 +68,7 @@ pub fn office_link_seed(base: u64, office: u16) -> u64 {
     base ^ u64::from(office).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-/// Renders one engine event exactly the way `fadewichd` prints it —
-/// the line format the decision logs, and therefore the byte-identity
-/// gates, are built on.
-#[must_use]
-pub fn event_line(ev: &EngineEvent) -> String {
-    match ev {
-        EngineEvent::Decision { tick, action } => {
-            format!("tick {tick:>6}  t {:>8.1}s  {:?}", action.t, action.kind)
-        }
-        EngineEvent::SensorQuarantined { sensor, tick } => {
-            format!("tick {tick:>6}  sensor {sensor} QUARANTINED")
-        }
-        EngineEvent::SensorRecovered { sensor, tick } => {
-            format!("tick {tick:>6}  sensor {sensor} recovered")
-        }
-        EngineEvent::SensorAttackQuarantined { sensor, tick } => {
-            format!("tick {tick:>6}  sensor {sensor} ATTACK-QUARANTINED")
-        }
-    }
-}
+pub use fadewich_runtime::daylog::event_line;
 
 /// The checkpoint namespace of one office under a fleet root.
 #[must_use]
@@ -194,6 +177,23 @@ impl FleetSink for BufferSink {
     fn emit(&mut self, office: u16, line: &str) -> Result<(), String> {
         self.lines[usize::from(office)].push(line.to_string());
         Ok(())
+    }
+}
+
+/// One office's stream of a [`FleetSink`], as the [`LineSink`] the
+/// shared checkpoint step writes to.
+struct OfficeLines<'s> {
+    sink: &'s mut dyn FleetSink,
+    office: u16,
+}
+
+impl LineSink for OfficeLines<'_> {
+    fn emit(&mut self, line: &str) -> Result<(), String> {
+        self.sink.emit(self.office, line)
+    }
+
+    fn log_mark(&mut self) -> u64 {
+        self.sink.log_mark(self.office)
     }
 }
 
@@ -325,19 +325,20 @@ pub fn run_fleet_day(
     }
     let day = env.day;
     let groups = env.trace.receiver_groups(env.streams);
+    let typed = rssi_groups(groups.clone());
     let inputs = env.scenario.input_trace(day, 0);
     let n_ticks = env.trace.days()[day].n_ticks() as u64;
     let advance_every = env.advance_every.max(1);
+    let stamp_base = recovery.as_deref().map_or(0, |rec| rec.base_ticks);
 
     // Per-office delivery feeds, flattened to one buffer + offsets per
     // office so a thousand offices do not cost a thousand Vec<Vec<u8>>.
     let mut feeds: Vec<OfficeFeed> = Vec::with_capacity(n_offices);
-    // Build engines and start positions.
+    // Build engines, start positions and per-office decision logs.
     let mut engines: Vec<StreamingEngine<'_>> = Vec::with_capacity(n_offices);
     let mut participating = vec![true; n_offices];
     let mut start_pos = vec![0usize; n_offices];
-    let mut checkpointers: Vec<Checkpointer> =
-        (0..n_offices).map(|_| Checkpointer::new(env.cfg.checkpoint_every_ticks)).collect();
+    let mut logs: Vec<DayLog> = Vec::with_capacity(n_offices);
     for (o, start) in starts.into_iter().enumerate() {
         let office = o as u16;
         let feed = match start {
@@ -354,31 +355,27 @@ pub fn run_fleet_day(
                         feed.len()
                     ));
                 }
-                let engine = StreamingEngine::restore(env.cfg, groups.clone(), env.re, kma, &snap)
-                    .map_err(|e| format!("office {office}: {e}"))?;
-                checkpointers[o].advance(engine.counters().ticks_processed);
                 start_pos[o] = snap.stream_pos as usize;
-                engine
+                let rssi = FusionConfig::rssi_only();
+                StreamingEngine::restore(env.cfg, typed.clone(), rssi, env.re, kma, &snap)
             }
             OfficeStart::Fresh => {
-                let engine = StreamingEngine::new(env.cfg, groups.clone(), env.re, kma)
-                    .map_err(|e| format!("office {office}: {e}"))?;
                 sink.emit(office, &format!("== day {day} =="))?;
-                engine
+                StreamingEngine::new(env.cfg, groups.clone(), env.re, kma)
             }
             OfficeStart::Skip => {
                 participating[o] = false;
                 StreamingEngine::new(env.cfg, groups.clone(), env.re, kma)
-                    .map_err(|e| format!("office {office}: {e}"))?
             }
-        };
+        }
+        .map_err(|e| format!("office {office}: {e}"))?;
+        logs.push(DayLog::new(&engine, day, stamp_base, Telemetry::disabled()));
         feeds.push(feed);
         engines.push(engine);
     }
 
     let mut fleet = FleetRuntime::new(n_shards, engines)?;
     let max_rounds = feeds.iter().map(OfficeFeed::len).max().unwrap_or(0);
-    let mut printed = vec![0usize; n_offices];
     let mut crashed = false;
 
     let mut round = 0usize;
@@ -394,42 +391,20 @@ pub fn run_fleet_day(
         fleet.advance();
         round = stop;
 
-        // Control phase (serial): flush fresh events, sweep checkpoints.
-        // Order matches serve: events are committed to the log first,
-        // then the snapshot records the grown mark, so a resume never
-        // loses lines the restored engine will not re-emit.
+        // Control phase (serial): each office's shared checkpoint step
+        // (fresh events committed first, then a due snapshot).
         let mut frontier = 0u64;
         for o in 0..n_offices {
-            if !participating[o] {
-                continue;
-            }
             let office = o as u16;
-            let (events, ticks) = {
-                let Some(engine) = fleet.office_mut(office) else { continue };
-                let events: Vec<String> =
-                    engine.events()[printed[o]..].iter().map(event_line).collect();
-                printed[o] = engine.events().len();
-                (events, engine.counters().ticks_processed)
+            let Some(engine) = fleet.office_mut(office).filter(|_| participating[o]) else {
+                continue;
             };
-            frontier = frontier.max(ticks);
-            for line in &events {
-                sink.emit(office, line)?;
-            }
-            if recovery.is_some() && checkpointers[o].due(ticks) {
-                let stream_pos = round.min(feeds[o].len()).max(start_pos[o]) as u64;
-                let mark = sink.log_mark(office);
-                let snap = match fleet.office_mut(office) {
-                    Some(engine) => engine.snapshot(day as u32, stream_pos, mark),
-                    None => continue,
-                };
-                if let Some(rec) = recovery.as_deref_mut() {
-                    rec.offices[o]
-                        .store
-                        .save(rec.base_ticks + ticks, &snap)
-                        .map_err(|e| format!("office {office}: checkpoint save failed: {e}"))?;
-                }
-                checkpointers[o].advance(ticks);
-            }
+            frontier = frontier.max(engine.counters().ticks_processed);
+            let stream_pos = round.min(feeds[o].len()).max(start_pos[o]) as u64;
+            let store = recovery.as_deref_mut().map(|rec| &mut rec.offices[o].store);
+            logs[o]
+                .step(engine, stream_pos, &mut OfficeLines { sink: &mut *sink, office }, store)
+                .map_err(|e| format!("office {office}: {e}"))?;
         }
         if let Some(rec) = recovery.as_deref() {
             if rec.crash_after_ticks.is_some_and(|n| rec.base_ticks + frontier >= n) {
@@ -457,12 +432,7 @@ pub fn run_fleet_day(
         let Some(engine) = fleet.office_mut(office) else { continue };
         let mut summary = String::new();
         if participating[o] {
-            let events: Vec<String> =
-                engine.events()[printed[o]..].iter().map(event_line).collect();
-            printed[o] = engine.events().len();
-            for line in &events {
-                sink.emit(office, line)?;
-            }
+            logs[o].flush(engine, &mut OfficeLines { sink: &mut *sink, office })?;
             if !crashed {
                 summary = engine.counters().deterministic_summary();
                 sink.emit(office, &summary)?;
@@ -559,27 +529,14 @@ pub fn run_fleet_day(
 ///
 /// Propagates engine construction and layout errors.
 pub fn single_office_day(env: &FleetDayEnv<'_>, office: u16) -> Result<Vec<String>, String> {
-    let groups = env.trace.receiver_groups(env.streams);
-    let inputs = env.scenario.input_trace(env.day, 0);
-    let kma = Kma::new(&inputs);
-    let mut engine = StreamingEngine::new(env.cfg, groups.clone(), env.re, kma)
+    let deployment =
+        Deployment { scenario: env.scenario, trace: env.trace, streams: env.streams, re: env.re };
+    let link_seed = office_link_seed(env.link_seed, office);
+    let run = DayRun::new(deployment, env.day, env.cfg, env.link, link_seed);
+    let mut lines = Vec::new();
+    DayRun { office, lines: Some(&mut lines), ..run }
+        .run()
         .map_err(|e| format!("office {office}: {e}"))?;
-    let deliveries = day_deliveries_for_office(
-        env.trace,
-        env.streams,
-        &groups,
-        env.day,
-        env.link,
-        office_link_seed(env.link_seed, office),
-        office,
-    )?;
-    for bytes in &deliveries {
-        engine.ingest_bytes(bytes);
-    }
-    engine.finish(env.trace.days()[env.day].n_ticks() as u64);
-    let mut lines = vec![format!("== day {} ==", env.day)];
-    lines.extend(engine.events().iter().map(event_line));
-    lines.push(engine.counters().deterministic_summary());
     Ok(lines)
 }
 

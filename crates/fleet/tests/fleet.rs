@@ -12,6 +12,7 @@ use std::sync::OnceLock;
 use fadewich_core::config::FadewichParams;
 use fadewich_core::kma::Kma;
 use fadewich_core::re::RadioEnvironment;
+use fadewich_core::stream::rssi_groups;
 use fadewich_experiments::par;
 use fadewich_fleet::day::{
     office_link_seed, run_fleet_day, single_office_day, BufferSink, FleetDayEnv, FleetRecovery,
@@ -153,28 +154,29 @@ fn fleet_matches_singles_at_any_shard_and_thread_count() {
 fn office_zero_keeps_the_base_link_seed() {
     assert_eq!(office_link_seed(BASE_LINK_SEED, 0), BASE_LINK_SEED);
     let fx = fixture();
-    let groups = fx.trace.receiver_groups(&fx.streams);
-    let base = replay::day_deliveries(&fx.trace, &fx.streams, &groups, 1, &fx.link, BASE_LINK_SEED)
-        .unwrap();
-    let office0 = replay::day_deliveries_for_office(
+    let groups = rssi_groups(fx.trace.receiver_groups(&fx.streams));
+    let base =
+        replay::day_deliveries(&fx.trace, &fx.streams, &groups, 1, 0, &fx.link, BASE_LINK_SEED)
+            .unwrap();
+    let office0 = replay::day_deliveries(
         &fx.trace,
         &fx.streams,
         &groups,
         1,
+        0,
         &fx.link,
         office_link_seed(BASE_LINK_SEED, 0),
-        0,
     )
     .unwrap();
     assert_eq!(base, office0, "office 0 must stream serve's exact bytes");
-    let office1 = replay::day_deliveries_for_office(
+    let office1 = replay::day_deliveries(
         &fx.trace,
         &fx.streams,
         &groups,
         1,
+        1,
         &fx.link,
         office_link_seed(BASE_LINK_SEED, 1),
-        1,
     )
     .unwrap();
     assert_ne!(base, office1, "office 1 must carry its id and its own link randomness");

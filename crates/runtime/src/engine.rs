@@ -58,9 +58,8 @@
 //! [`ChannelKind`], RSSI streams occupy the row prefix handed to
 //! MD/RE, and ambient-light streams occupy the suffix routed to the
 //! controller's light-detector bank each tick. The historical untyped
-//! constructors ([`StreamingEngine::new`] /
-//! [`StreamingEngine::restore`]) lift to the all-RSSI special case,
-//! which stays byte-identical to the pre-refactor engine; gap-fill
+//! constructor ([`StreamingEngine::new`]) lifts to the all-RSSI special
+//! case, which stays byte-identical to the pre-refactor engine; gap-fill
 //! staleness and sender quarantine deadlines are per channel kind
 //! (see [`EngineConfig::staleness_cap_ticks_for`]).
 
@@ -486,7 +485,7 @@ impl<'a> StreamingEngine<'a> {
     /// charged against the claimed sensor's reject budget (see
     /// [`EngineAuth`]). Call before ingesting any frames. Auth is
     /// config, not state — reapply after
-    /// [`StreamingEngine::restore_with_layout`], exactly like
+    /// [`StreamingEngine::restore`], exactly like
     /// telemetry; the per-sensor budgets and quarantine flags
     /// themselves ride the checkpoint.
     ///
@@ -851,9 +850,13 @@ impl<'a> StreamingEngine<'a> {
 
     /// Rebuilds an engine from a checkpoint so that feeding it the
     /// remaining deliveries of the day reproduces an uninterrupted
-    /// run's decisions bit-for-bit. The all-RSSI counterpart of
-    /// [`StreamingEngine::restore_with_layout`], exactly as
-    /// [`StreamingEngine::new`] is of [`StreamingEngine::with_layout`].
+    /// run's decisions bit-for-bit. `groups` and `fusion` are the
+    /// deployment's layout, taken exactly as
+    /// [`StreamingEngine::with_layout`] takes them (config, not state):
+    /// the engine is built and validated through it, then the RF,
+    /// light-detector, reorder, gap-fill and auth state is loaded from
+    /// `snap`. The all-RSSI case passes the lifted legacy layout and
+    /// [`FusionConfig::rssi_only`].
     ///
     /// The restored event log starts **empty**: everything up to
     /// [`EngineSnapshot::events_emitted`] was already emitted before
@@ -861,39 +864,14 @@ impl<'a> StreamingEngine<'a> {
     ///
     /// # Errors
     ///
-    /// Rejects a snapshot whose sensor layout does not match
-    /// `groups`, whose KMA clock fingerprint does not match this
-    /// scenario at the checkpointed time (resuming against the wrong
-    /// trace would silently produce wrong decisions), or whose
-    /// internal state fails any structural invariant.
+    /// Everything [`StreamingEngine::with_layout`] rejects, plus a
+    /// snapshot whose sensor layout does not match `groups` (the error
+    /// gives each side's light-sensor count), whose KMA clock
+    /// fingerprint does not match this scenario at the checkpointed
+    /// time (resuming against the wrong trace would silently produce
+    /// wrong decisions), or whose internal state fails any structural
+    /// invariant.
     pub fn restore(
-        cfg: EngineConfig,
-        groups: Vec<(u16, Vec<usize>)>,
-        re: &'a RadioEnvironment,
-        kma: Kma<'a>,
-        snap: &EngineSnapshot,
-    ) -> Result<StreamingEngine<'a>, String> {
-        StreamingEngine::restore_with_layout(
-            cfg,
-            rssi_groups(groups),
-            FusionConfig::rssi_only(),
-            re,
-            kma,
-            snap,
-        )
-    }
-
-    /// [`StreamingEngine::restore`] over a typed layout and fusion
-    /// configuration: the light-detector bank resumes bit-exactly from
-    /// the snapshot alongside the RF state, so mixed-channel
-    /// deployments crash-recover with the same byte-identical
-    /// guarantee as all-RSSI ones.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`StreamingEngine::restore`] rejects, plus a
-    /// snapshot whose light-detector count disagrees with `fusion`.
-    pub fn restore_with_layout(
         cfg: EngineConfig,
         groups: Vec<SensorGroup>,
         fusion: FusionConfig,
@@ -901,22 +879,21 @@ impl<'a> StreamingEngine<'a> {
         kma: Kma<'a>,
         snap: &EngineSnapshot,
     ) -> Result<StreamingEngine<'a>, String> {
-        cfg.validate()?;
-        let schema = check_layout(&groups)?;
-        let n_streams = schema.n_streams();
-        let n_rssi = schema.count(ChannelKind::Rssi);
-        let n_light = schema.count(ChannelKind::AmbientLight);
-        if n_light != fusion.light_workstations.len() {
+        let mut engine =
+            StreamingEngine::with_layout(cfg, groups, fusion.clone(), re, kma.clone())?;
+        if snap.groups != engine.groups {
+            let lights = |g: &[SensorGroup]| {
+                g.iter().filter(|g| g.kind == ChannelKind::AmbientLight).count()
+            };
             return Err(format!(
-                "layout has {n_light} light streams but the fusion config maps {}",
-                fusion.light_workstations.len()
+                "checkpoint sensor layout ({} light sensors) does not match this deployment \
+                 ({} light sensors)",
+                lights(&snap.groups),
+                lights(&engine.groups)
             ));
         }
-        if snap.groups != groups {
-            return Err("checkpoint sensor layout does not match this deployment".to_string());
-        }
-        let controller = Controller::from_runtime_state_fused(
-            n_rssi,
+        engine.controller = Controller::from_runtime_state(
+            engine.n_rssi,
             cfg.tick_hz,
             cfg.params,
             re,
@@ -927,7 +904,7 @@ impl<'a> StreamingEngine<'a> {
         // Compare the checkpointed KMA idle clocks against this
         // scenario's, bit-exactly: a mismatch means the checkpoint is
         // being resumed against a different input trace.
-        let clocks = controller.kma_clock_state();
+        let clocks = engine.controller.kma_clock_state();
         let bits = |o: Option<f64>| o.map(f64::to_bits);
         if clocks.len() != snap.kma_clocks.len()
             || !clocks.iter().zip(&snap.kma_clocks).all(|(&a, &b)| bits(a) == bits(b))
@@ -937,54 +914,29 @@ impl<'a> StreamingEngine<'a> {
                     .to_string(),
             );
         }
-        let mut reorder = ReorderBuffer::from_state(
-            ReorderConfig {
-                n_senders: groups.len(),
-                jitter_ticks: cfg.jitter_ticks,
-                quarantine_after_ticks: cfg.quarantine_after_ticks,
-            },
-            &snap.reorder,
-        )?;
-        // Per-kind quarantine deadlines are config, not state — they
-        // are reapplied here exactly as construction applies them.
-        for (sender, g) in groups.iter().enumerate() {
-            reorder.set_sender_quarantine(sender, cfg.quarantine_after_ticks_for(g.kind));
-        }
-        if snap.last_value.len() != n_streams || snap.last_seen.len() != n_streams {
+        engine.reorder.load_state(&snap.reorder)?;
+        if snap.last_value.len() != engine.n_streams || snap.last_seen.len() != engine.n_streams {
             return Err(format!(
-                "checkpoint gap-fill state covers {} streams, deployment has {n_streams}",
-                snap.last_value.len()
+                "checkpoint gap-fill state covers {} streams, deployment has {}",
+                snap.last_value.len(),
+                engine.n_streams
             ));
         }
         if snap.last_value.iter().any(|v| !v.is_finite()) {
             return Err("checkpoint last-value state contains non-finite samples".to_string());
         }
-        if snap.auth_state.len() != groups.len() {
+        if snap.auth_state.len() != engine.groups.len() {
             return Err(format!(
                 "checkpoint auth state covers {} sensors, deployment has {}",
                 snap.auth_state.len(),
-                groups.len()
+                engine.groups.len()
             ));
         }
-        Ok(StreamingEngine {
-            cfg,
-            controller,
-            reorder,
-            n_streams,
-            n_rssi,
-            last_value: snap.last_value.clone(),
-            last_seen: snap.last_seen.clone(),
-            row: vec![0.0; n_streams],
-            mask: vec![false; n_streams],
-            counters: snap.counters.clone(),
-            events: Vec::new(),
-            auth: None,
-            auth_state: snap.auth_state.clone(),
-            clock: Arc::new(WallClock),
-            telemetry: Telemetry::disabled(),
-            groups,
-            drain_t0: None,
-        })
+        engine.last_value.clone_from(&snap.last_value);
+        engine.last_seen.clone_from(&snap.last_seen);
+        engine.counters = snap.counters.clone();
+        engine.auth_state.clone_from(&snap.auth_state);
+        Ok(engine)
     }
 }
 
@@ -1024,6 +976,17 @@ mod tests {
     /// Two sensors × two streams each.
     fn groups() -> Vec<(u16, Vec<usize>)> {
         vec![(0u16, vec![0, 1]), (1u16, vec![2, 3])]
+    }
+
+    /// [`StreamingEngine::restore`] over the all-RSSI layout `groups`.
+    fn restore_rssi<'a>(
+        groups: Vec<(u16, Vec<usize>)>,
+        re: &'a RadioEnvironment,
+        kma: Kma<'a>,
+        snap: &EngineSnapshot,
+    ) -> Result<StreamingEngine<'a>, String> {
+        let groups = rssi_groups(groups);
+        StreamingEngine::restore(engine_cfg(), groups, FusionConfig::rssi_only(), re, kma, snap)
     }
 
     fn engine_cfg() -> EngineConfig {
@@ -1314,7 +1277,7 @@ mod tests {
         let snap = pre.snapshot(0, cut, 0);
         let events_before = snap.events_emitted as usize;
         let mut post =
-            StreamingEngine::restore(engine_cfg(), groups(), &re, Kma::new(&inputs), &snap)
+            restore_rssi(groups(), &re, Kma::new(&inputs), &snap)
                 .unwrap();
         // The snapshot must round-trip through the restored engine —
         // modulo the stitching metadata, since restored logs start
@@ -1363,23 +1326,16 @@ mod tests {
         // Different sensor layout.
         let other = vec![(0u16, vec![0, 1, 2, 3])];
         assert!(
-            StreamingEngine::restore(engine_cfg(), other, &re, Kma::new(&inputs), &snap).is_err()
+            restore_rssi(other, &re, Kma::new(&inputs), &snap).is_err()
         );
         // Same layout, different scenario: the KMA fingerprint differs.
         let other_inputs = InputTrace::from_times(vec![vec![1.0], vec![2.0]]);
-        assert!(StreamingEngine::restore(
-            engine_cfg(),
-            groups(),
-            &re,
-            Kma::new(&other_inputs),
-            &snap
-        )
-        .is_err());
+        assert!(restore_rssi(groups(), &re, Kma::new(&other_inputs), &snap).is_err());
         // Corrupted gap-fill state.
         let mut bad = snap.clone();
         bad.last_value[0] = f64::NAN;
         assert!(
-            StreamingEngine::restore(engine_cfg(), groups(), &re, Kma::new(&inputs), &bad).is_err()
+            restore_rssi(groups(), &re, Kma::new(&inputs), &bad).is_err()
         );
     }
 
@@ -1579,7 +1535,7 @@ mod tests {
         let snap = pre.snapshot(0, cut, 0);
         assert!(!snap.controller.lights.is_empty(), "light bank missing from snapshot");
         let events_before = snap.events_emitted as usize;
-        let mut post = StreamingEngine::restore_with_layout(
+        let mut post = StreamingEngine::restore(
             cfg,
             mixed_groups(),
             fusion_cfg(DecisionMode::LightOnly),
@@ -1616,7 +1572,7 @@ mod tests {
         // A restore under a different fusion mode is a different
         // deployment: the detector bank still loads (mode is config,
         // not state), but a mismatched light mapping is rejected.
-        assert!(StreamingEngine::restore_with_layout(
+        assert!(StreamingEngine::restore(
             cfg,
             mixed_groups(),
             FusionConfig::rssi_only(),
@@ -1788,7 +1744,7 @@ mod tests {
 
         let snap = pre.snapshot(0, 20, 0);
         let mut post =
-            StreamingEngine::restore(engine_cfg(), groups(), &re, Kma::new(&inputs), &snap)
+            restore_rssi(groups(), &re, Kma::new(&inputs), &snap)
                 .unwrap();
         // Auth is config: reapply after restore (state rode the snapshot).
         post.set_auth(EngineAuth::new(keys.clone()));
@@ -1810,7 +1766,7 @@ mod tests {
         let mut bad = snap.clone();
         bad.auth_state.pop();
         assert!(
-            StreamingEngine::restore(engine_cfg(), groups(), &re, Kma::new(&inputs), &bad)
+            restore_rssi(groups(), &re, Kma::new(&inputs), &bad)
                 .is_err()
         );
     }

@@ -60,6 +60,7 @@
 pub mod attack;
 pub mod checkpoint;
 pub mod counters;
+pub mod daylog;
 pub mod engine;
 pub mod fault;
 pub mod link;

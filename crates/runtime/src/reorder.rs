@@ -689,6 +689,21 @@ impl ReorderBuffer {
         })
     }
 
+    /// Loads an exported state into this buffer: what
+    /// [`ReorderBuffer::from_state`] rebuilds, keeping this buffer's
+    /// config-derived settings (per-sender quarantine deadlines and
+    /// anti-replay arming), so a restore need not reapply them.
+    ///
+    /// # Errors
+    ///
+    /// Everything [`ReorderBuffer::from_state`] rejects.
+    pub fn load_state(&mut self, state: &ReorderState) -> Result<(), String> {
+        let restored = ReorderBuffer::from_state(self.cfg, state)?;
+        let thresholds = std::mem::take(&mut self.thresholds);
+        *self = ReorderBuffer { thresholds, anti_replay: self.anti_replay, ..restored };
+        Ok(())
+    }
+
     /// End-of-stream: emits everything still buffered, in order, with
     /// `None` for frames that never arrived.
     pub fn flush(&mut self) -> Vec<TickBundle> {

@@ -9,22 +9,28 @@
 //! ([`batch_day_actions`]) steps a plain [`Controller`] over the same
 //! recorded matrix, so a lossless replay must produce byte-identical
 //! decisions — the invariant `tests/parity.rs` enforces.
+//!
+//! Every streamed day — a study's replay, a crash and its resume, a
+//! `fadewichd serve` day — is a [`DayRun`]: the day as data, executed
+//! by [`DayRun::run`] with the checkpoint step of [`crate::daylog`].
 
 use fadewich_core::artifact::{FeatureSchema, ModelBundle};
 use fadewich_core::auth::KeyTable;
 use fadewich_core::config::FadewichParams;
 use fadewich_core::controller::{Action, Controller};
 use fadewich_core::features::{extract_features, TrainingSample, FEATURES_PER_STREAM};
+use fadewich_core::fusion::{DecisionMode, FusionConfig};
 use fadewich_core::kma::Kma;
 use fadewich_core::md::{run_md_over_day, MovementDetector};
 use fadewich_core::re::{auto_label, AutoLabelParams, RadioEnvironment};
-use fadewich_core::fusion::{DecisionMode, FusionConfig};
-use fadewich_core::stream::{ChannelKind, SensorGroup};
+use fadewich_core::stream::{rssi_groups, ChannelKind, SensorGroup};
 use fadewich_officesim::{Scenario, StreamKind, Trace};
 use fadewich_stats::rng::Rng;
+use fadewich_telemetry::Telemetry;
 
-use crate::checkpoint::{CheckpointStore, Checkpointer, EngineSnapshot};
+use crate::checkpoint::{CheckpointStore, EngineSnapshot};
 use crate::counters::RuntimeCounters;
+use crate::daylog::{DayLog, LineSink};
 use crate::engine::{EngineConfig, EngineEvent, StreamingEngine};
 use crate::link::LinkModel;
 use crate::wire::Frame;
@@ -70,17 +76,217 @@ pub fn fusion_for_trace(trace: &Trace, mode: DecisionMode) -> FusionConfig {
     }
 }
 
+/// Which sensor layout, and which decision arbitration, a day runs
+/// under.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Layout {
+    /// The trace's receiver groups with RSSI-only decisions; recorded
+    /// light streams are never framed.
+    Rssi,
+    /// [`typed_groups`], light streams arbitrated by the mode
+    /// ([`fusion_for_trace`]).
+    Fused(DecisionMode),
+}
+
+impl Layout {
+    /// The engine groups and fusion configuration of this layout over
+    /// `streams` of `trace`.
+    pub fn resolve(self, trace: &Trace, streams: &[usize]) -> (Vec<SensorGroup>, FusionConfig) {
+        match self {
+            Layout::Rssi => {
+                (rssi_groups(trace.receiver_groups(streams)), FusionConfig::rssi_only())
+            }
+            Layout::Fused(mode) => (typed_groups(trace, streams), fusion_for_trace(trace, mode)),
+        }
+    }
+}
+
+/// The recorded deployment a day streams through.
+#[derive(Debug, Clone, Copy)]
+pub struct Deployment<'a> {
+    /// The scenario whose input trace feeds KMA.
+    pub scenario: &'a Scenario,
+    /// The recorded sensor trace.
+    pub trace: &'a Trace,
+    /// Monitored stream indices.
+    pub streams: &'a [usize],
+    /// The trained RE classifier.
+    pub re: &'a RadioEnvironment,
+}
+
 /// Everything one streamed day produced.
 #[derive(Debug, Clone)]
 pub struct DayReplay {
     /// Which recorded day was streamed.
     pub day: usize,
-    /// The controller's action log.
+    /// The controller's action log (post-resume portion when resumed).
     pub actions: Vec<Action>,
-    /// Structured events (decisions, quarantines, recoveries).
+    /// Structured events (post-resume portion when resumed).
     pub events: Vec<EngineEvent>,
     /// Runtime counters for the day.
     pub counters: RuntimeCounters,
+    /// Whether the run stopped dead at its [`CrashPoint`].
+    pub crashed: bool,
+}
+
+/// Where a checkpointed run stops dead, like a process crash: no
+/// flush, no tail padding, no summary.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CrashPoint {
+    /// Once `stream_pos` (deliveries ingested since the day's start)
+    /// reaches this count.
+    AfterDeliveries(u64),
+    /// Once the checkpoint stamp reaches this value
+    /// (`fadewichd --crash-after-ticks`).
+    AtStamp(u64),
+}
+
+/// Checkpointing for a [`DayRun`], at the engine's configured cadence.
+#[derive(Debug)]
+pub struct Checkpointing<'a> {
+    /// Where the images go.
+    pub store: &'a mut CheckpointStore,
+    /// Ticks of previously served days, added to each stamp so stamps
+    /// stay monotone across a multi-day run.
+    pub stamp_base: u64,
+    /// Stop dead here, for exercising recovery.
+    pub crash: Option<CrashPoint>,
+}
+
+/// One streamed day, described as data. [`DayRun::new`] is the plain
+/// case; struct-update syntax overrides the rest.
+pub struct DayRun<'a> {
+    /// What is deployed.
+    pub deployment: Deployment<'a>,
+    /// Which recorded day to stream.
+    pub day: usize,
+    /// Engine configuration.
+    pub cfg: EngineConfig,
+    /// Sensor layout and decision arbitration.
+    pub layout: Layout,
+    /// Office id stamped into the frames (0: the single-office bytes).
+    pub office: u16,
+    /// The link every delivery passes through.
+    pub link: &'a LinkModel,
+    /// Seeds the link as `Rng::task_stream(link_seed, day)`.
+    pub link_seed: u64,
+    /// Audit trail, checkpoint saves and day-end counters go here.
+    pub telemetry: Telemetry,
+    /// Restore from this checkpoint of `day` and skip the deliveries
+    /// before its `stream_pos`.
+    pub resume: Option<&'a EngineSnapshot>,
+    /// Save checkpoints (and maybe crash) along the way.
+    pub checkpoint: Option<Checkpointing<'a>>,
+    /// Receives the decision stream (see [`crate::daylog`]).
+    pub lines: Option<&'a mut (dyn LineSink + 'static)>,
+}
+
+impl<'a> DayRun<'a> {
+    /// A cold start of `day` over [`Layout::Rssi`] as office 0, with
+    /// telemetry disabled, no checkpoints and no sink.
+    pub fn new(
+        deployment: Deployment<'a>,
+        day: usize,
+        cfg: EngineConfig,
+        link: &'a LinkModel,
+        link_seed: u64,
+    ) -> DayRun<'a> {
+        DayRun {
+            deployment,
+            day,
+            cfg,
+            layout: Layout::Rssi,
+            office: 0,
+            link,
+            link_seed,
+            telemetry: Telemetry::disabled(),
+            resume: None,
+            checkpoint: None,
+            lines: None,
+        }
+    }
+
+    /// Streams the day: builds or restores the engine, delivers the day
+    /// through the link into one flat arrival buffer (the bytes of
+    /// [`day_deliveries`]), ingests it from the resume position with
+    /// [`DayLog::step`] after each delivery, and stops dead at the
+    /// crash point — or finishes the day, commits the summary line and
+    /// exports the counters into the telemetry handle.
+    ///
+    /// # Errors
+    ///
+    /// A checkpoint for another day or beyond the day's deliveries,
+    /// engine construction/restore and layout errors, checkpoint-save
+    /// failures, and sink errors.
+    pub fn run(self) -> Result<DayReplay, String> {
+        let (dep, day) = (self.deployment, self.day);
+        let (groups, fusion) = self.layout.resolve(dep.trace, dep.streams);
+        let frames = framed_day(dep.trace, dep.streams, &groups, day, self.office, None)?;
+        let inputs = dep.scenario.input_trace(day, 0);
+        let kma = Kma::new(&inputs);
+        let (cfg, re) = (self.cfg, dep.re);
+        let mut engine = match self.resume {
+            Some(snap) if snap.day as usize != day => {
+                let at = snap.day;
+                return Err(format!("checkpoint is for day {at} but the run streams day {day}"));
+            }
+            Some(snap) => StreamingEngine::restore(cfg, groups, fusion, re, kma, snap)?,
+            None => StreamingEngine::with_layout(cfg, groups, fusion, re, kma)?,
+        };
+        engine.set_telemetry(self.telemetry.clone());
+        let mut rng = Rng::task_stream(self.link_seed, day as u64);
+        let (mut arrivals, mut ends) = (Vec::new(), Vec::new());
+        self.link.deliver_into(&frames, &mut rng, &mut arrivals, &mut ends);
+        let start = self.resume.map_or(0, |s| s.stream_pos as usize);
+        if start > ends.len() {
+            return Err(format!(
+                "checkpoint claims {start} ingested deliveries but day {day} only has {}",
+                ends.len()
+            ));
+        }
+        let (mut store, stamp_base, crash) = match self.checkpoint {
+            Some(c) => (Some(c.store), c.stamp_base, c.crash),
+            None => (None, 0, None),
+        };
+        let lines: &mut dyn LineSink = match self.lines {
+            Some(lines) => lines,
+            None => &mut Discard,
+        };
+        let mut log = DayLog::new(&engine, day, stamp_base, self.telemetry.clone());
+        if self.resume.is_none() {
+            lines.emit(&format!("== day {day} =="))?;
+        }
+        let mut begin = start.checked_sub(1).map_or(0, |i| ends[i]);
+        let mut crashed = false;
+        for (i, &end) in ends.iter().enumerate().skip(start) {
+            engine.ingest_bytes(&arrivals[begin..end]);
+            begin = end;
+            let stream_pos = (i + 1) as u64;
+            log.step(&engine, stream_pos, lines, store.as_deref_mut())?;
+            crashed = match crash {
+                Some(CrashPoint::AfterDeliveries(n)) => stream_pos >= n,
+                Some(CrashPoint::AtStamp(n)) => stamp_base + engine.counters().ticks_processed >= n,
+                None => false,
+            };
+            if crashed {
+                break;
+            }
+        }
+        if !crashed {
+            engine.finish(dep.trace.days()[day].n_ticks() as u64);
+            log.flush(&engine, lines)?;
+            engine.counters().export_into(&self.telemetry);
+            self.telemetry.counter_add("runtime_days_streamed", 1);
+            lines.emit(&engine.counters().deterministic_summary())?;
+        }
+        Ok(DayReplay {
+            day,
+            actions: engine.actions().to_vec(),
+            events: engine.events().to_vec(),
+            counters: engine.counters().clone(),
+            crashed,
+        })
+    }
 }
 
 /// Trains RE on the first `train_days` of a scenario with KMA
@@ -241,63 +447,45 @@ pub fn batch_day_actions(
 }
 
 /// The exact byte deliveries one day's sensor traffic produces after
-/// passing through `link`: reports framed in send order with
-/// per-sensor sequence numbers, then dropped/duplicated/jittered by the
-/// link model seeded from `Rng::task_stream(link_seed, day)`.
+/// passing through `link`: the reports of `groups`' senders framed in
+/// send order with per-sender sequence numbers and stamped for `office`
+/// (see [`framed_day`]), then dropped/duplicated/jittered by the link
+/// model seeded from `Rng::task_stream(link_seed, day)`. Office 0 over
+/// the all-RSSI layout streams v1 frames; any other id v2 frames
+/// carrying the office field the fleet demux routes on.
 ///
 /// This is the day's *replayable delivery sequence* — the unit the
 /// crash-recovery layer counts. A checkpoint records how many
 /// deliveries were fully ingested (`stream_pos`), and a resume replays
 /// the same sequence from that index, so determinism here is what
-/// makes resumed decisions byte-identical.
+/// makes resumed decisions byte-identical. [`DayRun`] streams the same
+/// bytes through one flat buffer.
 ///
 /// # Errors
 ///
-/// Rejects a report for a sensor absent from `groups` (the layout
-/// contract between `Trace::sensor_reports` and
-/// `Trace::receiver_groups` was broken).
+/// Rejects a report whose `(sensor, kind)` pair is absent from `groups`
+/// (the layout contract between the trace's reports and its groups
+/// was broken).
 pub fn day_deliveries(
     trace: &Trace,
     streams: &[usize],
-    groups: &[(u16, Vec<usize>)],
+    groups: &[SensorGroup],
     day: usize,
-    link: &LinkModel,
-    link_seed: u64,
-) -> Result<Vec<Vec<u8>>, String> {
-    day_deliveries_for_office(trace, streams, groups, day, link, link_seed, 0)
-}
-
-/// [`day_deliveries`] with the frames stamped for a fleet tenant.
-///
-/// Office 0 produces the exact byte stream `day_deliveries` always has
-/// (v1 frames); any other id emits v2 frames carrying the office field
-/// the fleet demux routes on. The link seed is the caller's to vary per
-/// office, so each tenant sees an independent loss pattern.
-///
-/// # Errors
-///
-/// Same layout contract as [`day_deliveries`].
-#[allow(clippy::too_many_arguments)]
-pub fn day_deliveries_for_office(
-    trace: &Trace,
-    streams: &[usize],
-    groups: &[(u16, Vec<usize>)],
-    day: usize,
-    link: &LinkModel,
-    link_seed: u64,
     office: u16,
+    link: &LinkModel,
+    link_seed: u64,
 ) -> Result<Vec<Vec<u8>>, String> {
-    let frames = framed_day(trace, streams, groups, day, office)?;
+    let frames = framed_day(trace, streams, groups, day, office, None)?;
     let mut rng = Rng::task_stream(link_seed, day as u64);
     Ok(link.deliver(&frames, &mut rng))
 }
 
-/// The reusable-buffer form of [`day_deliveries_for_office`]: the
-/// day's arrival stream lands back-to-back in `bytes`, with `ends[i]`
-/// the exclusive end offset of delivery `i` (see
+/// [`day_deliveries`] over the legacy all-RSSI layout, into reusable
+/// buffers: the day's arrival stream lands back-to-back in `bytes`,
+/// with `ends[i]` the exclusive end offset of delivery `i` (see
 /// [`LinkModel::deliver_into`]). Byte-for-byte the same deliveries in
-/// the same order as the owned form — the fleet feed builder uses
-/// this to skip the per-delivery allocations.
+/// the same order as the owned form — the fleet feed builder uses this
+/// to skip the per-delivery allocations.
 ///
 /// # Errors
 ///
@@ -314,50 +502,13 @@ pub fn day_deliveries_for_office_into(
     bytes: &mut Vec<u8>,
     ends: &mut Vec<usize>,
 ) -> Result<(), String> {
-    let frames = framed_day(trace, streams, groups, day, office)?;
+    let frames = framed_day(trace, streams, &rssi_groups(groups.to_vec()), day, office, None)?;
     let mut rng = Rng::task_stream(link_seed, day as u64);
     link.deliver_into(&frames, &mut rng, bytes, ends);
     Ok(())
 }
 
-/// One day's encoded send stream before the link: `(send tick, bytes)`
-/// in send order with per-sensor sequence numbers. The framing half of
-/// [`day_deliveries_for_office`]; hot streaming paths feed it through
-/// [`LinkModel::deliver_into`] instead of materializing owned
-/// deliveries.
-///
-/// # Errors
-///
-/// Same layout contract as [`day_deliveries`].
-fn framed_day(
-    trace: &Trace,
-    streams: &[usize],
-    groups: &[(u16, Vec<usize>)],
-    day: usize,
-    office: u16,
-) -> Result<Vec<(u64, Vec<u8>)>, String> {
-    let mut seq = vec![0u32; groups.len()];
-    let reports = trace.sensor_reports(day, streams);
-    let mut frames: Vec<(u64, Vec<u8>)> = Vec::with_capacity(reports.len());
-    for r in reports {
-        let sender = groups.iter().position(|(s, _)| *s == r.sensor).ok_or_else(|| {
-            format!("sensor {} reports frames but is not in the receiver layout", r.sensor)
-        })?;
-        let frame = Frame {
-            office,
-            channel: channel_kind_of(r.kind),
-            sensor: r.sensor,
-            seq: seq[sender],
-            tick: r.tick,
-            values: r.values,
-        };
-        seq[sender] = seq[sender].wrapping_add(1);
-        frames.push((r.tick, frame.encode()));
-    }
-    Ok(frames)
-}
-
-/// [`framed_day`]'s authenticated form: one day's send stream with
+/// One day's send stream of an authenticated all-RSSI deployment:
 /// every report encoded as a v4 frame signed under the sender's key
 /// from `keys` — what an authenticated deployment's radio actually
 /// puts on the air. The attack studies splice
@@ -377,438 +528,70 @@ pub fn signed_day_frames(
     office: u16,
     keys: &KeyTable,
 ) -> Result<Vec<(u64, Vec<u8>)>, String> {
-    let mut seq = vec![0u32; groups.len()];
-    let reports = trace.sensor_reports(day, streams);
-    let mut frames: Vec<(u64, Vec<u8>)> = Vec::with_capacity(reports.len());
-    for r in reports {
-        let sender = groups.iter().position(|(s, _)| *s == r.sensor).ok_or_else(|| {
-            format!("sensor {} reports frames but is not in the receiver layout", r.sensor)
-        })?;
-        let key = keys
-            .get(r.sensor)
-            .ok_or_else(|| format!("sensor {} has no key in the deployment table", r.sensor))?;
-        let frame = Frame {
-            office,
-            channel: channel_kind_of(r.kind),
-            sensor: r.sensor,
-            seq: seq[sender],
-            tick: r.tick,
-            values: r.values,
-        };
-        seq[sender] = seq[sender].wrapping_add(1);
-        frames.push((r.tick, frame.encode_auth(key)));
-    }
-    Ok(frames)
+    framed_day(trace, streams, &rssi_groups(groups.to_vec()), day, office, Some(keys))
 }
 
-/// [`day_deliveries`] over a channel-typed sensor layout: reports come
-/// from [`Trace::sensor_reports_fused`] (RF receivers then light
-/// sensors, tick-major), each framed with its channel kind, so the
-/// byte stream is what a fused deployment's radio would actually see.
-///
-/// Light-sensor and RF sensor ids share a number space but not a
-/// channel, so the sender lookup matches on `(sensor, kind)`.
+/// One day's encoded send stream before the link: `(send tick, bytes)`
+/// in send order, each report framed with its sender's next sequence
+/// number, stamped for `office` and — with `keys` — signed as a v4
+/// frame under the sender's key. A layout with light sensors frames
+/// [`Trace::sensor_reports_fused`] (RF receivers then light sensors,
+/// tick-major); an all-RSSI one [`Trace::sensor_reports`]. Light and RF
+/// sensor ids share a number space but not a channel, so the sender
+/// lookup matches on `(sensor, kind)`.
 ///
 /// # Errors
 ///
-/// Rejects a report whose `(sensor, kind)` pair is absent from
-/// `groups` (the layout contract between
-/// [`Trace::sensor_reports_fused`] and [`typed_groups`] was broken).
-pub fn fused_day_deliveries(
+/// Same layout contract as [`day_deliveries`], plus, with `keys`,
+/// every reporting sensor must have a key.
+fn framed_day(
     trace: &Trace,
     streams: &[usize],
     groups: &[SensorGroup],
     day: usize,
-    link: &LinkModel,
-    link_seed: u64,
-) -> Result<Vec<Vec<u8>>, String> {
-    let frames = framed_day_fused(trace, streams, groups, day)?;
-    let mut rng = Rng::task_stream(link_seed, day as u64);
-    Ok(link.deliver(&frames, &mut rng))
-}
-
-/// The framing half of [`fused_day_deliveries`], mirroring
-/// [`framed_day`] over a channel-typed layout.
-///
-/// # Errors
-///
-/// Same layout contract as [`fused_day_deliveries`].
-fn framed_day_fused(
-    trace: &Trace,
-    streams: &[usize],
-    groups: &[SensorGroup],
-    day: usize,
+    office: u16,
+    keys: Option<&KeyTable>,
 ) -> Result<Vec<(u64, Vec<u8>)>, String> {
+    let reports = if groups.iter().all(|g| g.kind == ChannelKind::Rssi) {
+        trace.sensor_reports(day, streams)
+    } else {
+        trace.sensor_reports_fused(day, streams)
+    };
     let mut seq = vec![0u32; groups.len()];
-    let reports = trace.sensor_reports_fused(day, streams);
     let mut frames: Vec<(u64, Vec<u8>)> = Vec::with_capacity(reports.len());
     for r in reports {
-        let kind = channel_kind_of(r.kind);
+        let channel = channel_kind_of(r.kind);
         let sender = groups
             .iter()
-            .position(|g| g.sensor == r.sensor && g.kind == kind)
+            .position(|g| g.sensor == r.sensor && g.kind == channel)
             .ok_or_else(|| {
-                format!(
-                    "{} sensor {} reports frames but is not in the typed layout",
-                    kind.label(),
-                    r.sensor
-                )
+                format!("{channel} sensor {} reports frames but is not in the layout", r.sensor)
             })?;
         let frame = Frame {
-            office: 0,
-            channel: kind,
+            office,
+            channel,
             sensor: r.sensor,
             seq: seq[sender],
             tick: r.tick,
             values: r.values,
         };
         seq[sender] = seq[sender].wrapping_add(1);
-        frames.push((r.tick, frame.encode()));
+        let bytes = match keys {
+            Some(keys) => frame.encode_auth(keys.get(r.sensor).ok_or_else(|| {
+                format!("sensor {} has no key in the deployment table", r.sensor)
+            })?),
+            None => frame.encode(),
+        };
+        frames.push((r.tick, bytes));
     }
     Ok(frames)
 }
 
-/// Streams one recorded day of a light-enabled trace through `link`
-/// into an engine built over the trace's typed layout, with decisions
-/// arbitrated by `fusion`. The link randomness is seeded exactly as
-/// [`stream_day`] seeds it, so an `fusion.mode == RssiOnly` replay of a
-/// light-free trace is byte-identical to the untyped path.
-///
-/// # Errors
-///
-/// Propagates engine construction and layout errors (including a
-/// fusion config whose workstation map disagrees with the trace).
-#[allow(clippy::too_many_arguments)]
-pub fn stream_day_fused(
-    scenario: &Scenario,
-    trace: &Trace,
-    streams: &[usize],
-    re: &RadioEnvironment,
-    day: usize,
-    cfg: EngineConfig,
-    fusion: FusionConfig,
-    link: &LinkModel,
-    link_seed: u64,
-    telemetry: &fadewich_telemetry::Telemetry,
-) -> Result<DayReplay, String> {
-    let groups = typed_groups(trace, streams);
-    let inputs = scenario.input_trace(day, 0);
-    let kma = Kma::new(&inputs);
-    let mut engine = StreamingEngine::with_layout(cfg, groups.clone(), fusion, re, kma)?;
-    engine.set_telemetry(telemetry.clone());
-    // Hot path: one flat arrival buffer for the whole day instead of
-    // an owned Vec per delivery. Same RNG stream, same byte stream.
-    let frames = framed_day_fused(trace, streams, &groups, day)?;
-    let mut rng = Rng::task_stream(link_seed, day as u64);
-    let (mut arrivals, mut ends) = (Vec::new(), Vec::new());
-    link.deliver_into(&frames, &mut rng, &mut arrivals, &mut ends);
-    let mut start = 0;
-    for &end in &ends {
-        engine.ingest_bytes(&arrivals[start..end]);
-        start = end;
-    }
-    engine.finish(trace.days()[day].n_ticks() as u64);
-    engine.counters().export_into(telemetry);
-    telemetry.counter_add("runtime_days_streamed", 1);
+/// The sink of a run nobody reads the decision stream of.
+struct Discard;
 
-    Ok(DayReplay {
-        day,
-        actions: engine.actions().to_vec(),
-        events: engine.events().to_vec(),
-        counters: engine.counters().clone(),
-    })
-}
-
-/// [`stream_day_checkpointed`] over a typed layout: checkpoints carry
-/// the channel-kind tags and the light detector bank, and a crash
-/// stops dead mid-delivery exactly as in the RSSI-only variant.
-///
-/// # Errors
-///
-/// Propagates engine construction, layout, and checkpoint-save errors.
-#[allow(clippy::too_many_arguments)]
-pub fn stream_day_checkpointed_fused(
-    scenario: &Scenario,
-    trace: &Trace,
-    streams: &[usize],
-    re: &RadioEnvironment,
-    day: usize,
-    cfg: EngineConfig,
-    fusion: FusionConfig,
-    link: &LinkModel,
-    link_seed: u64,
-    store: &mut CheckpointStore,
-    crash_after: Option<u64>,
-) -> Result<DayReplay, String> {
-    let groups = typed_groups(trace, streams);
-    let inputs = scenario.input_trace(day, 0);
-    let kma = Kma::new(&inputs);
-    let mut engine = StreamingEngine::with_layout(cfg, groups.clone(), fusion, re, kma)?;
-    let mut checkpointer = Checkpointer::new(cfg.checkpoint_every_ticks);
-    let deliveries = fused_day_deliveries(trace, streams, &groups, day, link, link_seed)?;
-    let mut crashed = false;
-    for (i, bytes) in deliveries.iter().enumerate() {
-        engine.ingest_bytes(bytes);
-        let stream_pos = (i + 1) as u64;
-        let ticks = engine.counters().ticks_processed;
-        if checkpointer.due(ticks) {
-            let snap = engine.snapshot(day as u32, stream_pos, 0);
-            store.save(ticks, &snap).map_err(|e| format!("checkpoint save failed: {e}"))?;
-            checkpointer.advance(ticks);
-        }
-        if crash_after.is_some_and(|n| stream_pos >= n) {
-            crashed = true;
-            break;
-        }
+impl LineSink for Discard {
+    fn emit(&mut self, _line: &str) -> Result<(), String> {
+        Ok(())
     }
-    if !crashed {
-        engine.finish(trace.days()[day].n_ticks() as u64);
-    }
-    Ok(DayReplay {
-        day,
-        actions: engine.actions().to_vec(),
-        events: engine.events().to_vec(),
-        counters: engine.counters().clone(),
-    })
-}
-
-/// [`resume_day`] over a typed layout. The fusion config is deployment
-/// configuration, not checkpointed state, so the caller passes the same
-/// `fusion` the crashed process ran with; the restore rejects a
-/// snapshot whose light detector bank disagrees with it.
-///
-/// # Errors
-///
-/// Propagates engine restore, layout, and day-mismatch errors.
-#[allow(clippy::too_many_arguments)]
-pub fn resume_day_fused(
-    scenario: &Scenario,
-    trace: &Trace,
-    streams: &[usize],
-    re: &RadioEnvironment,
-    cfg: EngineConfig,
-    fusion: FusionConfig,
-    link: &LinkModel,
-    link_seed: u64,
-    snap: &EngineSnapshot,
-) -> Result<DayReplay, String> {
-    let day = snap.day as usize;
-    if day >= trace.days().len() {
-        return Err(format!(
-            "checkpoint is for day {day} but the scenario has {} days",
-            trace.days().len()
-        ));
-    }
-    let groups = typed_groups(trace, streams);
-    let inputs = scenario.input_trace(day, 0);
-    let kma = Kma::new(&inputs);
-    let mut engine = StreamingEngine::restore_with_layout(cfg, groups.clone(), fusion, re, kma, snap)?;
-    let deliveries = fused_day_deliveries(trace, streams, &groups, day, link, link_seed)?;
-    if snap.stream_pos as usize > deliveries.len() {
-        return Err(format!(
-            "checkpoint claims {} ingested deliveries but the day only has {}",
-            snap.stream_pos,
-            deliveries.len()
-        ));
-    }
-    for bytes in &deliveries[snap.stream_pos as usize..] {
-        engine.ingest_bytes(bytes);
-    }
-    engine.finish(trace.days()[day].n_ticks() as u64);
-    Ok(DayReplay {
-        day,
-        actions: engine.actions().to_vec(),
-        events: engine.events().to_vec(),
-        counters: engine.counters().clone(),
-    })
-}
-
-/// Streams one recorded day through `link` into a fresh engine.
-///
-/// Sensor reports are framed in send order with per-sensor sequence
-/// numbers; the link's randomness comes from
-/// `Rng::task_stream(link_seed, day)` so replays are deterministic and
-/// per-day independent.
-///
-/// # Errors
-///
-/// Propagates engine construction errors.
-pub fn stream_day(
-    scenario: &Scenario,
-    trace: &Trace,
-    streams: &[usize],
-    re: &RadioEnvironment,
-    day: usize,
-    cfg: EngineConfig,
-    link: &LinkModel,
-    link_seed: u64,
-) -> Result<DayReplay, String> {
-    stream_day_with_telemetry(
-        scenario,
-        trace,
-        streams,
-        re,
-        day,
-        cfg,
-        link,
-        link_seed,
-        &fadewich_telemetry::Telemetry::disabled(),
-    )
-}
-
-/// [`stream_day`] with a telemetry handle threaded through the engine:
-/// the decision audit trail (MD window spans, RE margins, rule
-/// verdicts), quarantine/recovery events, and — at end of day — the
-/// runtime counters all land in the handle's sink/registry. Trace
-/// ticks are the day-local logical tick clock, so two replays of the
-/// same seeded scenario emit byte-identical traces.
-///
-/// # Errors
-///
-/// Propagates engine construction errors.
-#[allow(clippy::too_many_arguments)]
-pub fn stream_day_with_telemetry(
-    scenario: &Scenario,
-    trace: &Trace,
-    streams: &[usize],
-    re: &RadioEnvironment,
-    day: usize,
-    cfg: EngineConfig,
-    link: &LinkModel,
-    link_seed: u64,
-    telemetry: &fadewich_telemetry::Telemetry,
-) -> Result<DayReplay, String> {
-    let groups = trace.receiver_groups(streams);
-    let inputs = scenario.input_trace(day, 0);
-    let kma = Kma::new(&inputs);
-    let mut engine = StreamingEngine::new(cfg, groups.clone(), re, kma)?;
-    engine.set_telemetry(telemetry.clone());
-    // Hot path: one flat arrival buffer for the whole day instead of
-    // an owned Vec per delivery. Same RNG stream, same byte stream.
-    let frames = framed_day(trace, streams, &groups, day, 0)?;
-    let mut rng = Rng::task_stream(link_seed, day as u64);
-    let (mut arrivals, mut ends) = (Vec::new(), Vec::new());
-    link.deliver_into(&frames, &mut rng, &mut arrivals, &mut ends);
-    let mut start = 0;
-    for &end in &ends {
-        engine.ingest_bytes(&arrivals[start..end]);
-        start = end;
-    }
-    engine.finish(trace.days()[day].n_ticks() as u64);
-    engine.counters().export_into(telemetry);
-    telemetry.counter_add("runtime_days_streamed", 1);
-
-    Ok(DayReplay {
-        day,
-        actions: engine.actions().to_vec(),
-        events: engine.events().to_vec(),
-        counters: engine.counters().clone(),
-    })
-}
-
-/// Like [`stream_day`], but persists a checkpoint into `store` at the
-/// engine's configured cadence ([`EngineConfig::checkpoint_every_ticks`],
-/// always at delivery boundaries, stamped with the day-local processed
-/// tick count) and, when `crash_after` is set, stops dead after that
-/// many deliveries — no flush, no tail padding — exactly like a
-/// process crash. The partial [`DayReplay`] is what the dying process
-/// had produced so far.
-///
-/// # Errors
-///
-/// Propagates engine construction, layout, and checkpoint-save errors.
-pub fn stream_day_checkpointed(
-    scenario: &Scenario,
-    trace: &Trace,
-    streams: &[usize],
-    re: &RadioEnvironment,
-    day: usize,
-    cfg: EngineConfig,
-    link: &LinkModel,
-    link_seed: u64,
-    store: &mut CheckpointStore,
-    crash_after: Option<u64>,
-) -> Result<DayReplay, String> {
-    let groups = trace.receiver_groups(streams);
-    let inputs = scenario.input_trace(day, 0);
-    let kma = Kma::new(&inputs);
-    let mut engine = StreamingEngine::new(cfg, groups.clone(), re, kma)?;
-    let mut checkpointer = Checkpointer::new(cfg.checkpoint_every_ticks);
-    let deliveries = day_deliveries(trace, streams, &groups, day, link, link_seed)?;
-    let mut crashed = false;
-    for (i, bytes) in deliveries.iter().enumerate() {
-        engine.ingest_bytes(bytes);
-        let stream_pos = (i + 1) as u64;
-        let ticks = engine.counters().ticks_processed;
-        if checkpointer.due(ticks) {
-            let snap = engine.snapshot(day as u32, stream_pos, 0);
-            store.save(ticks, &snap).map_err(|e| format!("checkpoint save failed: {e}"))?;
-            checkpointer.advance(ticks);
-        }
-        if crash_after.is_some_and(|n| stream_pos >= n) {
-            crashed = true;
-            break;
-        }
-    }
-    if !crashed {
-        engine.finish(trace.days()[day].n_ticks() as u64);
-    }
-    Ok(DayReplay {
-        day,
-        actions: engine.actions().to_vec(),
-        events: engine.events().to_vec(),
-        counters: engine.counters().clone(),
-    })
-}
-
-/// Resumes a crashed day from a checkpoint: rebuilds the engine from
-/// `snap`, replays the same deterministic delivery sequence from
-/// `snap.stream_pos`, and runs the day to completion. The returned
-/// action/event logs contain only the **post-resume** portion; stitch
-/// them after the first `snap.controller.n_actions` actions /
-/// `snap.events_emitted` events of the crashed run to reconstruct the
-/// full day.
-///
-/// # Errors
-///
-/// Propagates engine restore, layout, and day-mismatch errors.
-pub fn resume_day(
-    scenario: &Scenario,
-    trace: &Trace,
-    streams: &[usize],
-    re: &RadioEnvironment,
-    cfg: EngineConfig,
-    link: &LinkModel,
-    link_seed: u64,
-    snap: &EngineSnapshot,
-) -> Result<DayReplay, String> {
-    let day = snap.day as usize;
-    if day >= trace.days().len() {
-        return Err(format!(
-            "checkpoint is for day {day} but the scenario has {} days",
-            trace.days().len()
-        ));
-    }
-    let groups = trace.receiver_groups(streams);
-    let inputs = scenario.input_trace(day, 0);
-    let kma = Kma::new(&inputs);
-    let mut engine = StreamingEngine::restore(cfg, groups.clone(), re, kma, snap)?;
-    let deliveries = day_deliveries(trace, streams, &groups, day, link, link_seed)?;
-    if snap.stream_pos as usize > deliveries.len() {
-        return Err(format!(
-            "checkpoint claims {} ingested deliveries but the day only has {}",
-            snap.stream_pos,
-            deliveries.len()
-        ));
-    }
-    for bytes in &deliveries[snap.stream_pos as usize..] {
-        engine.ingest_bytes(bytes);
-    }
-    engine.finish(trace.days()[day].n_ticks() as u64);
-    Ok(DayReplay {
-        day,
-        actions: engine.actions().to_vec(),
-        events: engine.events().to_vec(),
-        counters: engine.counters().clone(),
-    })
 }

@@ -524,9 +524,8 @@ impl Frame {
         }
         let payload = &bytes[header_len..total - 4];
         let mac = (magic == FRAME_MAGIC_V4).then(|| {
-            u64::from_le_bytes(
-                bytes[MAC_TAG_OFFSET..MAC_TAG_OFFSET + 8].try_into().expect("8-byte tag"),
-            )
+            let t = &bytes[MAC_TAG_OFFSET..MAC_TAG_OFFSET + 8];
+            u64::from_le_bytes([t[0], t[1], t[2], t[3], t[4], t[5], t[6], t[7]])
         });
         Ok((FrameView { office, channel, sensor, seq, tick, payload, mac, raw: &bytes[..total] }, total))
     }

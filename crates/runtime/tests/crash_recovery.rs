@@ -12,12 +12,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use fadewich_core::config::FadewichParams;
-use fadewich_core::fusion::{DecisionMode, FusionConfig};
+use fadewich_core::fusion::DecisionMode;
 use fadewich_officesim::{LightSimParams, Scenario, ScenarioConfig, ScheduleParams, Trace};
 use fadewich_runtime::checkpoint::{CheckpointStore, EngineSnapshot};
 use fadewich_runtime::engine::EngineConfig;
 use fadewich_runtime::link::LinkModel;
-use fadewich_runtime::replay::{self, DayReplay};
+use fadewich_runtime::replay::{
+    self, Checkpointing, CrashPoint, DayReplay, DayRun, Deployment, Layout,
+};
 use fadewich_testkit::prop::u64s;
 
 const LINK_SEED: u64 = 0xF10D;
@@ -66,12 +68,12 @@ fn fixture() -> &'static Fixture {
         // Checkpoint often enough that most crash points have a warm
         // image to resume from, and several get pruned by retention.
         cfg.checkpoint_every_ticks = 400;
-        let full =
-            replay::stream_day(&scenario, &trace, &streams, &re, 1, cfg, &link, LINK_SEED)
-                .unwrap();
-        let groups = trace.receiver_groups(&streams);
+        let deployment = Deployment { scenario: &scenario, trace: &trace, streams: &streams, re: &re };
+        let day1 = || DayRun::new(deployment, 1, cfg, &link, LINK_SEED);
+        let full = day1().run().unwrap();
+        let (groups, _) = Layout::Rssi.resolve(&trace, &streams);
         let n_deliveries =
-            replay::day_deliveries(&trace, &streams, &groups, 1, &link, LINK_SEED)
+            replay::day_deliveries(&trace, &streams, &groups, 1, 0, &link, LINK_SEED)
                 .unwrap()
                 .len() as u64;
 
@@ -79,25 +81,37 @@ fn fixture() -> &'static Fixture {
         // crash mid-day and grab what the store wrote last.
         let dir = scratch_dir("fixture");
         let mut store = CheckpointStore::open(&dir).unwrap();
-        replay::stream_day_checkpointed(
-            &scenario,
-            &trace,
-            &streams,
-            &re,
-            1,
-            cfg,
-            &link,
-            LINK_SEED,
-            &mut store,
-            Some(n_deliveries / 2),
-        )
-        .unwrap();
+        checkpointed(day1(), &mut store, n_deliveries / 2).run().unwrap();
         let (stamp, snap) = store.load_latest().unwrap().snapshot.unwrap();
         let encoded = snap.encode(stamp);
         std::fs::remove_dir_all(&dir).unwrap();
 
         Fixture { scenario, trace, streams, re, cfg, link, full, n_deliveries, encoded }
     })
+}
+
+impl Fixture {
+    /// The fixture's day 1 as a plain run; tests override fields.
+    fn day1(&self) -> DayRun<'_> {
+        let deployment = Deployment {
+            scenario: &self.scenario,
+            trace: &self.trace,
+            streams: &self.streams,
+            re: &self.re,
+        };
+        DayRun::new(deployment, 1, self.cfg, &self.link, LINK_SEED)
+    }
+}
+
+/// `run`, checkpointing into `store` and crashing after `crash_after`
+/// deliveries.
+fn checkpointed<'a>(
+    run: DayRun<'a>,
+    store: &'a mut CheckpointStore,
+    crash_after: u64,
+) -> DayRun<'a> {
+    let crash = Some(CrashPoint::AfterDeliveries(crash_after));
+    DayRun { checkpoint: Some(Checkpointing { store, stamp_base: 0, crash }), ..run }
 }
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -144,11 +158,7 @@ fadewich_testkit::property! {
         let crash_after = 1 + seed % (fx.n_deliveries - 1);
         let dir = scratch_dir("crash");
         let mut store = CheckpointStore::open(&dir).unwrap();
-        let crashed = replay::stream_day_checkpointed(
-            &fx.scenario, &fx.trace, &fx.streams, &fx.re, 1, fx.cfg, &fx.link, LINK_SEED,
-            &mut store, Some(crash_after),
-        )
-        .unwrap();
+        let crashed = checkpointed(fx.day1(), &mut store, crash_after).run().unwrap();
 
         // A fresh process opens the directory, as fadewichd would.
         let mut reopened = CheckpointStore::open(&dir).unwrap();
@@ -157,19 +167,12 @@ fadewich_testkit::property! {
         match outcome.snapshot {
             Some((_, snap)) => {
                 assert!(snap.stream_pos <= crash_after, "checkpoint from beyond the crash");
-                let resumed = replay::resume_day(
-                    &fx.scenario, &fx.trace, &fx.streams, &fx.re, fx.cfg, &fx.link, LINK_SEED,
-                    &snap,
-                )
-                .unwrap();
+                let resumed = DayRun { resume: Some(&snap), ..fx.day1() }.run().unwrap();
                 assert_stitches(fx, &crashed, &snap, &resumed);
             }
             None => {
                 // Crash beat the first checkpoint: cold start rules.
-                let rerun = replay::stream_day(
-                    &fx.scenario, &fx.trace, &fx.streams, &fx.re, 1, fx.cfg, &fx.link, LINK_SEED,
-                )
-                .unwrap();
+                let rerun = fx.day1().run().unwrap();
                 assert_eq!(rerun.actions, fx.full.actions);
                 assert_eq!(rerun.events, fx.full.events);
             }
@@ -212,19 +215,7 @@ fn corrupted_newest_checkpoint_falls_back_and_still_resumes_identically() {
     let dir = scratch_dir("fallback");
     let mut store = CheckpointStore::open(&dir).unwrap();
     let crash_after = fx.n_deliveries * 3 / 4;
-    let crashed = replay::stream_day_checkpointed(
-        &fx.scenario,
-        &fx.trace,
-        &fx.streams,
-        &fx.re,
-        1,
-        fx.cfg,
-        &fx.link,
-        LINK_SEED,
-        &mut store,
-        Some(crash_after),
-    )
-    .unwrap();
+    let crashed = checkpointed(fx.day1(), &mut store, crash_after).run().unwrap();
 
     // Flip one byte in the newest checkpoint file on disk.
     let mut files: Vec<_> = std::fs::read_dir(&dir)
@@ -244,17 +235,7 @@ fn corrupted_newest_checkpoint_falls_back_and_still_resumes_identically() {
     let outcome = reopened.load_latest().unwrap();
     assert_eq!(outcome.rejected.len(), 1, "the corrupt newest file must be reported");
     let (_, snap) = outcome.snapshot.expect("the previous checkpoint must still load");
-    let resumed = replay::resume_day(
-        &fx.scenario,
-        &fx.trace,
-        &fx.streams,
-        &fx.re,
-        fx.cfg,
-        &fx.link,
-        LINK_SEED,
-        &snap,
-    )
-    .unwrap();
+    let resumed = DayRun { resume: Some(&snap), ..fx.day1() }.run().unwrap();
     assert_stitches(fx, &crashed, &snap, &resumed);
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -273,19 +254,7 @@ fn torn_write_during_the_day_degrades_to_the_previous_checkpoint() {
     };
     store.set_fault_injector(FaultInjector::new(plan, 99));
     let crash_after = fx.n_deliveries / 2;
-    let crashed = replay::stream_day_checkpointed(
-        &fx.scenario,
-        &fx.trace,
-        &fx.streams,
-        &fx.re,
-        1,
-        fx.cfg,
-        &fx.link,
-        LINK_SEED,
-        &mut store,
-        Some(crash_after),
-    )
-    .unwrap();
+    let crashed = checkpointed(fx.day1(), &mut store, crash_after).run().unwrap();
     assert!(store.fault_log().unwrap().torn > 0, "the plan never fired");
 
     let mut reopened = CheckpointStore::open(&dir).unwrap();
@@ -298,17 +267,7 @@ fn torn_write_during_the_day_degrades_to_the_previous_checkpoint() {
         );
     }
     if let Some((_, snap)) = outcome.snapshot {
-        let resumed = replay::resume_day(
-            &fx.scenario,
-            &fx.trace,
-            &fx.streams,
-            &fx.re,
-            fx.cfg,
-            &fx.link,
-            LINK_SEED,
-            &snap,
-        )
-        .unwrap();
+        let resumed = DayRun { resume: Some(&snap), ..fx.day1() }.run().unwrap();
         assert_stitches(fx, &crashed, &snap, &resumed);
     }
     std::fs::remove_dir_all(&dir).unwrap();
@@ -343,54 +302,32 @@ fn fused_crash_resumes_byte_identically() {
     let mut cfg = EngineConfig::new(trace.tick_hz(), params);
     cfg.jitter_ticks = 2;
     cfg.checkpoint_every_ticks = 400;
-    let fusion = replay::fusion_for_trace(&trace, DecisionMode::Fused);
-    let telemetry = fadewich_telemetry::Telemetry::disabled();
-    let full = replay::stream_day_fused(
-        &scenario, &trace, &streams, &re, 1, cfg, fusion.clone(), &link, LINK_SEED, &telemetry,
-    )
-    .unwrap();
+    let deployment = Deployment { scenario: &scenario, trace: &trace, streams: &streams, re: &re };
+    let rssi = || DayRun::new(deployment, 1, cfg, &link, LINK_SEED);
+    let fused = || DayRun { layout: Layout::Fused(DecisionMode::Fused), ..rssi() };
+    let full = fused().run().unwrap();
     let groups = replay::typed_groups(&trace, &streams);
-    let n_deliveries = replay::fused_day_deliveries(&trace, &streams, &groups, 1, &link, LINK_SEED)
+    let n_deliveries = replay::day_deliveries(&trace, &streams, &groups, 1, 0, &link, LINK_SEED)
         .unwrap()
         .len() as u64;
 
     for crash_after in [n_deliveries / 3, 2 * n_deliveries / 3] {
         let dir = scratch_dir("fused");
         let mut store = CheckpointStore::open(&dir).unwrap();
-        let crashed = replay::stream_day_checkpointed_fused(
-            &scenario,
-            &trace,
-            &streams,
-            &re,
-            1,
-            cfg,
-            fusion.clone(),
-            &link,
-            LINK_SEED,
-            &mut store,
-            Some(crash_after),
-        )
-        .unwrap();
+        let crashed = checkpointed(fused(), &mut store, crash_after).run().unwrap();
         let mut reopened = CheckpointStore::open(&dir).unwrap();
         let outcome = reopened.load_latest().unwrap();
         assert!(outcome.rejected.is_empty(), "clean saves were rejected: {:?}", outcome.rejected);
         let (_, snap) = outcome.snapshot.expect("mid-day crash must have a checkpoint");
         assert!(snap.stream_pos <= crash_after);
 
-        // The fusion config is deployment config, not state: a resume
-        // with the pre-fusion (no light streams) config must be
-        // refused, not silently mis-shaped.
-        let err = replay::resume_day_fused(
-            &scenario, &trace, &streams, &re, cfg, FusionConfig::rssi_only(), &link, LINK_SEED,
-            &snap,
-        )
-        .unwrap_err();
+        // The layout is deployment config, not state: a resume with the
+        // pre-fusion (no light streams) layout must be refused, not
+        // silently mis-shaped.
+        let err = DayRun { resume: Some(&snap), ..rssi() }.run().unwrap_err();
         assert!(err.contains("light"), "unhelpful fusion mismatch error: {err}");
 
-        let resumed = replay::resume_day_fused(
-            &scenario, &trace, &streams, &re, cfg, fusion.clone(), &link, LINK_SEED, &snap,
-        )
-        .unwrap();
+        let resumed = DayRun { resume: Some(&snap), ..fused() }.run().unwrap();
         let stitched_actions: Vec<_> = crashed.actions[..snap.controller.n_actions as usize]
             .iter()
             .chain(&resumed.actions)
@@ -436,16 +373,61 @@ fn resume_rejects_a_checkpoint_from_another_scenario() {
     })
     .unwrap();
     let other_trace = other.simulate().unwrap();
-    let err = replay::resume_day(
-        &other,
-        &other_trace,
-        &fx.streams,
-        &fx.re,
-        fx.cfg,
-        &fx.link,
-        LINK_SEED,
-        &snap,
-    )
-    .unwrap_err();
+    let deployment =
+        Deployment { scenario: &other, trace: &other_trace, streams: &fx.streams, re: &fx.re };
+    let run = DayRun::new(deployment, 1, fx.cfg, &fx.link, LINK_SEED);
+    let err = DayRun { resume: Some(&snap), ..run }.run().unwrap_err();
     assert!(err.contains("scenario") || err.contains("KMA"), "unhelpful mismatch error: {err}");
+}
+
+#[test]
+fn a_resumed_run_checkpoints_and_survives_a_second_crash() {
+    // Crash at n/3, resume with checkpointing and crash again at 2n/3,
+    // then resume once more: the three runs, stitched by each run's own
+    // (relative) action and event counts, must equal the uninterrupted
+    // day.
+    let fx = fixture();
+    let dir = scratch_dir("twice");
+    let latest = || {
+        let outcome = CheckpointStore::open(&dir).unwrap().load_latest().unwrap();
+        assert!(outcome.rejected.is_empty(), "clean saves were rejected: {:?}", outcome.rejected);
+        outcome.snapshot.expect("a mid-day crash must leave a checkpoint").1
+    };
+    let mut store = CheckpointStore::open(&dir).unwrap();
+    let first = checkpointed(fx.day1(), &mut store, fx.n_deliveries / 3).run().unwrap();
+    assert!(first.crashed);
+    let snap1 = latest();
+
+    let mut store = CheckpointStore::open(&dir).unwrap();
+    let second = DayRun {
+        resume: Some(&snap1),
+        ..checkpointed(fx.day1(), &mut store, 2 * fx.n_deliveries / 3)
+    }
+    .run()
+    .unwrap();
+    assert!(second.crashed);
+    let snap2 = latest();
+    assert!(snap2.stream_pos > snap1.stream_pos, "the resumed run never checkpointed");
+    assert!(snap2.stream_pos <= 2 * fx.n_deliveries / 3, "checkpoint from beyond the crash");
+
+    let third = DayRun { resume: Some(&snap2), ..fx.day1() }.run().unwrap();
+    assert!(!third.crashed);
+    let actions: Vec<_> = first.actions[..snap1.controller.n_actions as usize]
+        .iter()
+        .chain(&second.actions[..snap2.controller.n_actions as usize])
+        .chain(&third.actions)
+        .collect();
+    assert_eq!(actions, fx.full.actions.iter().collect::<Vec<_>>(), "stitched decisions diverged");
+    let events: Vec<_> = first.events[..snap1.events_emitted as usize]
+        .iter()
+        .chain(&second.events[..snap2.events_emitted as usize])
+        .chain(&third.events)
+        .collect();
+    assert_eq!(events, fx.full.events.iter().collect::<Vec<_>>(), "stitched events diverged");
+    assert_eq!(
+        third.counters.deterministic_summary(),
+        fx.full.counters.deterministic_summary(),
+        "twice-resumed counters diverged"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
 }

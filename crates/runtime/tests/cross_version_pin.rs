@@ -104,13 +104,20 @@ fn run_day(fx: &Fixture, link: &LinkModel, instrument: bool, fused: bool) -> Run
         let groups = replay::typed_groups(&fx.trace, &fx.streams);
         let fusion = replay::fusion_for_trace(&fx.trace, DecisionMode::Fused);
         let deliveries =
-            replay::fused_day_deliveries(&fx.trace, &fx.streams, &groups, 1, link, 0xF10D)
-                .unwrap();
+            replay::day_deliveries(&fx.trace, &fx.streams, &groups, 1, 0, link, 0xF10D).unwrap();
         (StreamingEngine::with_layout(cfg, groups, fusion, &fx.re, kma).unwrap(), deliveries)
     } else {
         let groups = fx.trace.receiver_groups(&fx.streams);
-        let deliveries =
-            replay::day_deliveries(&fx.trace, &fx.streams, &groups, 1, link, 0xF10D).unwrap();
+        let deliveries = replay::day_deliveries(
+            &fx.trace,
+            &fx.streams,
+            &fadewich_core::stream::rssi_groups(groups.clone()),
+            1,
+            0,
+            link,
+            0xF10D,
+        )
+        .unwrap();
         (StreamingEngine::new(cfg, groups, &fx.re, kma).unwrap(), deliveries)
     };
     let telemetry = if instrument { Telemetry::buffering() } else { Telemetry::disabled() };

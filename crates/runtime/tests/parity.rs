@@ -11,7 +11,7 @@ use fadewich_core::config::FadewichParams;
 use fadewich_officesim::{Scenario, ScenarioConfig, ScheduleParams, Trace};
 use fadewich_runtime::engine::EngineConfig;
 use fadewich_runtime::link::LinkModel;
-use fadewich_runtime::replay;
+use fadewich_runtime::replay::{self, DayRun, Deployment};
 
 struct Fixture {
     scenario: Scenario,
@@ -19,6 +19,21 @@ struct Fixture {
     streams: Vec<usize>,
     re: fadewich_core::re::RadioEnvironment,
     params: FadewichParams,
+}
+
+impl Fixture {
+    /// Streams fixture day 1 over `link` into a fresh engine, with `re`
+    /// as the classifier.
+    fn stream_day1(
+        &self,
+        re: &fadewich_core::re::RadioEnvironment,
+        cfg: EngineConfig,
+        link: &LinkModel,
+    ) -> replay::DayReplay {
+        let deployment =
+            Deployment { scenario: &self.scenario, trace: &self.trace, streams: &self.streams, re };
+        DayRun::new(deployment, 1, cfg, link, 0xF10D).run().unwrap()
+    }
 }
 
 /// A 2-day small office: day 0 trains RE, day 1 is replayed.
@@ -53,17 +68,7 @@ fn lossless_streaming_decisions_are_byte_identical_to_batch() {
     let batch = replay::batch_day_actions(&fx.scenario, &fx.trace, &fx.streams, &fx.re, 1, &fx.params)
         .unwrap();
     let cfg = EngineConfig::new(fx.trace.tick_hz(), fx.params);
-    let out = replay::stream_day(
-        &fx.scenario,
-        &fx.trace,
-        &fx.streams,
-        &fx.re,
-        1,
-        cfg,
-        &LinkModel::lossless(),
-        0xF10D,
-    )
-    .unwrap();
+    let out = fx.stream_day1(&fx.re, cfg, &LinkModel::lossless());
 
     assert!(!batch.is_empty(), "fixture day produced no actions at all");
     assert_eq!(out.actions, batch);
@@ -100,14 +105,8 @@ fn artifact_served_decisions_are_byte_identical_to_in_memory() {
     assert!(loaded.md.threshold.is_some(), "training must export a fitted MD threshold");
 
     let cfg = EngineConfig::new(fx.trace.tick_hz(), fx.params);
-    let in_memory = replay::stream_day(
-        &fx.scenario, &fx.trace, &fx.streams, &fx.re, 1, cfg, &LinkModel::lossless(), 0xF10D,
-    )
-    .unwrap();
-    let served = replay::stream_day(
-        &fx.scenario, &fx.trace, &fx.streams, &loaded.re, 1, cfg, &LinkModel::lossless(), 0xF10D,
-    )
-    .unwrap();
+    let in_memory = fx.stream_day1(&fx.re, cfg, &LinkModel::lossless());
+    let served = fx.stream_day1(&loaded.re, cfg, &LinkModel::lossless());
     assert_eq!(format!("{:?}", served.actions), format!("{:?}", in_memory.actions));
     assert_eq!(format!("{:?}", served.events), format!("{:?}", in_memory.events));
 }
@@ -135,17 +134,7 @@ fn seeded_lossy_replay_completes_and_reports_degradation() {
     let link = LinkModel { drop_p: 0.02, dup_p: 0.01, corrupt_p: 0.005, jitter_ticks: 3 };
     let mut cfg = EngineConfig::new(fx.trace.tick_hz(), fx.params);
     cfg.jitter_ticks = 3;
-    let out = replay::stream_day(
-        &fx.scenario,
-        &fx.trace,
-        &fx.streams,
-        &fx.re,
-        1,
-        cfg,
-        &link,
-        0xF10D,
-    )
-    .unwrap();
+    let out = fx.stream_day1(&fx.re, cfg, &link);
 
     let n_ticks = fx.trace.days()[1].n_ticks() as u64;
     let c = &out.counters;
@@ -162,10 +151,7 @@ fn seeded_lossy_replay_completes_and_reports_degradation() {
     assert!(c.to_json().contains("\"gap_fills\""));
     // Determinism: the same seed replays to the same counters and
     // decisions (histograms are wall-clock, so compare the rest).
-    let again = replay::stream_day(
-        &fx.scenario, &fx.trace, &fx.streams, &fx.re, 1, cfg, &link, 0xF10D,
-    )
-    .unwrap();
+    let again = fx.stream_day1(&fx.re, cfg, &link);
     assert_eq!(again.actions, out.actions);
     assert_eq!(
         (again.counters.frames_in, again.counters.gap_fills, again.counters.masked_stream_ticks),

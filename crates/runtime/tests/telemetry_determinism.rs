@@ -10,7 +10,7 @@ use fadewich_core::config::FadewichParams;
 use fadewich_officesim::{Scenario, ScenarioConfig, ScheduleParams, Trace};
 use fadewich_runtime::engine::EngineConfig;
 use fadewich_runtime::link::LinkModel;
-use fadewich_runtime::replay;
+use fadewich_runtime::replay::{self, DayRun, Deployment};
 use fadewich_telemetry::Telemetry;
 
 struct Fixture {
@@ -19,6 +19,21 @@ struct Fixture {
     streams: Vec<usize>,
     re: fadewich_core::re::RadioEnvironment,
     params: FadewichParams,
+}
+
+impl Fixture {
+    /// Fixture day 1 over `link` with `telemetry` threaded through.
+    fn stream_day1(&self, link: &LinkModel, telemetry: &Telemetry) -> replay::DayReplay {
+        let deployment = Deployment {
+            scenario: &self.scenario,
+            trace: &self.trace,
+            streams: &self.streams,
+            re: &self.re,
+        };
+        let cfg = EngineConfig::new(self.trace.tick_hz(), self.params);
+        let run = DayRun::new(deployment, 1, cfg, link, 0xF10D);
+        DayRun { telemetry: telemetry.clone(), ..run }.run().unwrap()
+    }
 }
 
 fn fixture() -> &'static Fixture {
@@ -50,19 +65,7 @@ fn fixture() -> &'static Fixture {
 /// rendered trace JSONL and the deterministic metrics JSON.
 fn traced_replay(fx: &Fixture, link: &LinkModel) -> (String, String) {
     let telemetry = Telemetry::buffering();
-    let cfg = EngineConfig::new(fx.trace.tick_hz(), fx.params);
-    replay::stream_day_with_telemetry(
-        &fx.scenario,
-        &fx.trace,
-        &fx.streams,
-        &fx.re,
-        1,
-        cfg,
-        link,
-        0xF10D,
-        &telemetry,
-    )
-    .unwrap();
+    fx.stream_day1(link, &telemetry);
     let trace = telemetry.trace_string();
     let metrics = telemetry.metrics_json(false).unwrap();
     (trace, metrics)
@@ -95,24 +98,9 @@ fn instrumentation_does_not_change_decisions() {
     // replay must produce the exact action log of an uninstrumented
     // one, and the deterministic metrics must exclude wall-clock noise.
     let fx = fixture();
-    let cfg = EngineConfig::new(fx.trace.tick_hz(), fx.params);
-    let plain = replay::stream_day(
-        &fx.scenario, &fx.trace, &fx.streams, &fx.re, 1, cfg, &LinkModel::lossless(), 0xF10D,
-    )
-    .unwrap();
+    let plain = fx.stream_day1(&LinkModel::lossless(), &Telemetry::disabled());
     let telemetry = Telemetry::buffering();
-    let traced = replay::stream_day_with_telemetry(
-        &fx.scenario,
-        &fx.trace,
-        &fx.streams,
-        &fx.re,
-        1,
-        cfg,
-        &LinkModel::lossless(),
-        0xF10D,
-        &telemetry,
-    )
-    .unwrap();
+    let traced = fx.stream_day1(&LinkModel::lossless(), &telemetry);
     assert_eq!(plain.actions, traced.actions);
     assert_eq!(plain.counters.deterministic_summary(), traced.counters.deterministic_summary());
     let metrics = telemetry.metrics_json(false).unwrap();

@@ -16,6 +16,13 @@ export RUSTFLAGS="-D warnings"
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 
+# Lint gate: type-check every target (benches and examples included,
+# which neither the build nor the tests compile) and enforce exactly
+# the lint levels the crates declare in source — the
+# `deny(clippy::unwrap_used, clippy::expect_used)` of the serving
+# crates — with clippy's default groups allowed.
+cargo clippy --offline --workspace --all-targets -- -A clippy::all
+
 # Masked-libm gate: glibc picks its exp/log/pow code by CPU feature at
 # run time, and every pinned bit rests on those functions. Rerun the
 # bit-pinned gates with the AVX2, FMA and AVX-512 variants masked off,
