@@ -77,7 +77,8 @@
 //! image. stdout carries only the deterministic fleet rollup.
 //!
 //! Exit codes: 2 usage, 3 scenario, 4 model artifact, 5 engine,
-//! 6 checkpoint, 7 decision-log I/O.
+//! 6 checkpoint, 7 I/O failure (the message names the file or socket:
+//! decision log, trace out, metrics out, ops server or stats input).
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -114,7 +115,8 @@ enum DaemonError {
     Engine(String),
     /// Checkpoint store failure (exit 6).
     Checkpoint(String),
-    /// Decision-log I/O failure (exit 7).
+    /// I/O failure (exit 7). The message names its subject itself
+    /// (decision log, trace out, metrics out, ops server, stats input).
     Io(String),
 }
 
@@ -139,7 +141,7 @@ impl std::fmt::Display for DaemonError {
             DaemonError::Artifact(m) => write!(f, "model artifact: {m}"),
             DaemonError::Engine(m) => write!(f, "engine: {m}"),
             DaemonError::Checkpoint(m) => write!(f, "checkpoint: {m}"),
-            DaemonError::Io(m) => write!(f, "decision log: {m}"),
+            DaemonError::Io(m) => write!(f, "{m}"),
         }
     }
 }
@@ -477,23 +479,36 @@ fn open_recovery(
         // the uncommitted tail.
         .truncate(false)
         .open(&log_path)
-        .map_err(|e| DaemonError::Io(format!("opening {}: {e}", log_path.display())))?;
+        .map_err(|e| {
+            DaemonError::Io(format!("decision log: opening {}: {e}", log_path.display()))
+        })?;
     let mark = outcome.snapshot.as_ref().map_or(0, |(_, s)| s.log_mark);
     file.set_len(mark)
         .and_then(|()| file.seek(SeekFrom::Start(mark)).map(|_| ()))
-        .map_err(|e| DaemonError::Io(format!("truncating {}: {e}", log_path.display())))?;
+        .map_err(|e| {
+            DaemonError::Io(format!("decision log: truncating {}: {e}", log_path.display()))
+        })?;
     Ok(Recovery { store, log: DecisionLog { file, mark }, resume: outcome.snapshot })
 }
 
 /// Builds the run's telemetry handle from the `--trace-out` /
 /// `--metrics-out` flags: a streaming JSONL writer when traces are
 /// requested, metrics-only when just the registry matters, disabled
-/// (zero overhead, bit-identical behavior) otherwise.
+/// (zero overhead, bit-identical behavior) otherwise. Runs before any
+/// training or streaming and creates both output files, so a bad path
+/// fails before the run is spent; the metrics dump itself is written
+/// by [`finish_telemetry`].
 fn open_telemetry(args: &Args) -> Result<Telemetry, DaemonError> {
+    if let Some(path) = &args.metrics_out {
+        std::fs::File::create(path).map_err(|e| {
+            DaemonError::Io(format!("metrics out: creating {}: {e}", path.display()))
+        })?;
+    }
     match (&args.trace_out, &args.metrics_out) {
         (Some(path), _) => {
-            let f = std::fs::File::create(path)
-                .map_err(|e| DaemonError::Io(format!("creating {}: {e}", path.display())))?;
+            let f = std::fs::File::create(path).map_err(|e| {
+                DaemonError::Io(format!("trace out: creating {}: {e}", path.display()))
+            })?;
             Ok(Telemetry::to_writer(Box::new(std::io::BufWriter::new(f))))
         }
         (None, Some(_)) => Ok(Telemetry::metrics_only()),
@@ -516,11 +531,12 @@ fn open_ops_server(
     let Some(addr) = &args.metrics_addr else { return Ok(None) };
     telemetry.set_slo(SloEngine::standard(tick_hz));
     let server = OpsServer::bind(addr, telemetry.clone(), std::sync::Arc::new(WallClock))
-        .map_err(|e| DaemonError::Io(format!("binding {addr}: {e}")))?;
+        .map_err(|e| DaemonError::Io(format!("ops server: binding {addr}: {e}")))?;
     eprintln!("fadewichd: ops server on http://{}/", server.local_addr());
     if let Some(path) = &args.metrics_addr_file {
-        std::fs::write(path, format!("{}\n", server.local_addr()))
-            .map_err(|e| DaemonError::Io(format!("writing {}: {e}", path.display())))?;
+        std::fs::write(path, format!("{}\n", server.local_addr())).map_err(|e| {
+            DaemonError::Io(format!("ops server: writing {}: {e}", path.display()))
+        })?;
     }
     Ok(Some(server))
 }
@@ -530,11 +546,11 @@ fn open_ops_server(
 fn finish_telemetry(args: &Args, telemetry: &Telemetry) -> Result<(), DaemonError> {
     telemetry
         .flush()
-        .map_err(|e| DaemonError::Io(format!("writing trace out: {e}")))?;
+        .map_err(|e| DaemonError::Io(format!("trace out: writing: {e}")))?;
     if let Some(path) = &args.metrics_out {
         let body = telemetry.metrics_json(false).unwrap_or_default();
         std::fs::write(path, body + "\n")
-            .map_err(|e| DaemonError::Io(format!("writing {}: {e}", path.display())))?;
+            .map_err(|e| DaemonError::Io(format!("metrics out: writing {}: {e}", path.display())))?;
     }
     Ok(())
 }
@@ -545,7 +561,7 @@ fn finish_telemetry(args: &Args, telemetry: &Telemetry) -> Result<(), DaemonErro
 /// input format) with `--collapsed`.
 fn run_profile_stats(path: &std::path::Path, collapsed: bool) -> Result<(), DaemonError> {
     let text = std::fs::read_to_string(path)
-        .map_err(|e| DaemonError::Io(format!("reading {}: {e}", path.display())))?;
+        .map_err(|e| DaemonError::Io(format!("stats input: reading {}: {e}", path.display())))?;
     let profile = Profile::from_jsonl(&text)
         .map_err(|e| DaemonError::Usage(format!("{} is not a trace JSONL: {e}", path.display())))?;
     if profile.is_empty() {
@@ -564,7 +580,7 @@ fn run_profile_stats(path: &std::path::Path, collapsed: bool) -> Result<(), Daem
 /// pretty-prints its counters, gauges, and histogram summaries.
 fn run_stats(path: &std::path::Path) -> Result<(), DaemonError> {
     let text = std::fs::read_to_string(path)
-        .map_err(|e| DaemonError::Io(format!("reading {}: {e}", path.display())))?;
+        .map_err(|e| DaemonError::Io(format!("stats input: reading {}: {e}", path.display())))?;
     let root = json::parse(&text)
         .map_err(|e| DaemonError::Usage(format!("{} is not a metrics dump: {e}", path.display())))?;
     let section = |name: &str| -> Vec<(String, json::Json)> {

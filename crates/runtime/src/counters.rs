@@ -196,8 +196,12 @@ pub struct RuntimeCounters {
     /// by [`ChannelKind::index`]. Pure-RSSI deployments leave every
     /// non-RSSI slot empty, and the summary then omits the breakdown.
     pub channels: [ChannelCounters; ChannelKind::COUNT],
-    /// Wire-decode stage latency, one sample per decoded frame. The
-    /// engine samples it only while telemetry is enabled.
+    /// Wire-decode stage latency, a 1-in-64 sample: the engine times
+    /// one decode attempt in 64, so the mean and quantiles estimate
+    /// per-frame decode latency and the count is the number of sampled
+    /// frames, not of decoded ones. Timing every frame cost two clock
+    /// reads per frame, about as much as a forged frame's CRC and MAC.
+    /// The engine samples it only while telemetry is enabled.
     pub decode: LatencyHisto,
     /// Pipeline (row assembly, MD → RE → Controller) latency, one
     /// sample per drain of closed ticks: an ingest call that closes

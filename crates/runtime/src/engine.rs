@@ -36,10 +36,11 @@
 //!
 //! The wall-time `decode` and `step` latency histograms are sampled
 //! only while telemetry is enabled ([`StreamingEngine::set_telemetry`]):
-//! `decode` times each frame's decode, and `step` takes one sample per
-//! drain — per public call that closes ticks, from its first closed
-//! tick to its return. With telemetry disabled the engine never reads
-//! its clock, and both histograms stay empty.
+//! `decode` times one decode attempt in 64 (`DECODE_SAMPLE_EVERY`),
+//! and `step` takes one sample per drain — per public call that closes
+//! ticks, from its first closed tick to its return. With telemetry
+//! disabled the engine never reads its clock, and both histograms stay
+//! empty.
 //!
 //! The engine has two **authentication modes**. By default it runs
 //! legacy-unauthenticated: v1–v3 frames are accepted exactly as every
@@ -78,6 +79,13 @@ use crate::checkpoint::EngineSnapshot;
 use crate::counters::RuntimeCounters;
 use crate::reorder::{ClosedTick, PushOutcome, ReorderBuffer, ReorderConfig, SenderEvent};
 use crate::wire::{Frame, FrameView, WireError};
+
+/// With telemetry enabled, [`StreamingEngine::ingest_bytes`] times one
+/// decode attempt in this many. Two clock reads cost about as much as
+/// a forged frame's CRC and MAC together, so timing every decode would
+/// double what a flood of rejected frames costs; a 1-in-64 sample
+/// estimates the same per-frame latency for two reads per 64 frames.
+const DECODE_SAMPLE_EVERY: u64 = 64;
 
 /// Streaming-engine knobs on top of the core pipeline parameters.
 #[derive(Debug, Clone, Copy)]
@@ -356,6 +364,11 @@ pub struct StreamingEngine<'a> {
     /// it before returning, so this is `None` between calls and never
     /// checkpointed.
     drain_t0: Option<u64>,
+    /// Decode attempts made with telemetry enabled; the attempts where
+    /// this is a multiple of [`DECODE_SAMPLE_EVERY`] are timed. Like
+    /// `drain_t0`, wall-time bookkeeping: not state, never
+    /// checkpointed.
+    decode_attempts: u64,
 }
 
 impl<'a> StreamingEngine<'a> {
@@ -430,6 +443,7 @@ impl<'a> StreamingEngine<'a> {
             telemetry: Telemetry::disabled(),
             groups,
             drain_t0: None,
+            decode_attempts: 0,
         })
     }
 
@@ -515,7 +529,13 @@ impl<'a> StreamingEngine<'a> {
     pub fn ingest_bytes(&mut self, mut bytes: &[u8]) {
         while !bytes.is_empty() {
             self.counters.bytes_in += bytes.len() as u64;
-            let t0 = self.telemetry.is_enabled().then(|| self.clock.now_ns());
+            let t0 = if self.telemetry.is_enabled() {
+                let attempt = self.decode_attempts;
+                self.decode_attempts += 1;
+                attempt.is_multiple_of(DECODE_SAMPLE_EVERY).then(|| self.clock.now_ns())
+            } else {
+                None
+            };
             let decoded = Frame::decode_borrowed(bytes);
             if let Some(t0) = t0 {
                 self.counters.decode.record_ns(self.clock.now_ns().saturating_sub(t0));
@@ -1057,26 +1077,23 @@ mod tests {
 
     #[test]
     fn clock_is_read_only_with_telemetry_enabled() {
+        use fadewich_core::auth::AuthKey;
         let re = tiny_re(4);
         let inputs = quiet_inputs();
-        // A lossless 60-tick day of v1 wire frames, one per call.
-        let mut frames = Vec::new();
-        for t in 0..60u64 {
-            let mut rng = Rng::task_stream(99, t);
-            for (sensor, positions) in groups() {
-                let values = positions.iter().map(|_| -50.0 + rng.normal() as f32 * 0.6).collect();
-                frames.push(Frame::rssi(sensor, t as u32, t, values).encode());
-            }
-        }
-        // (clock reads, calls that closed a tick, counters, actions)
-        let run = |telemetry: Telemetry| {
+        let keys = test_keys();
+        // Feeds one wire frame per call. Returns (clock reads, calls
+        // that closed a tick, counters, actions).
+        let run = |telemetry: Telemetry, frames: &[Vec<u8>], authenticated: bool| {
             let clock = Arc::new(CountingClock::default());
             let mut e =
                 StreamingEngine::new(engine_cfg(), groups(), &re, Kma::new(&inputs)).unwrap();
+            if authenticated {
+                e.set_auth(EngineAuth::new(keys.clone()));
+            }
             e.set_telemetry(telemetry);
             e.set_clock(clock.clone());
             let mut closing_calls = 0u64;
-            for bytes in &frames {
+            for bytes in frames {
                 let before = e.counters().ticks_processed;
                 e.ingest_bytes(bytes);
                 closing_calls += u64::from(e.counters().ticks_processed > before);
@@ -1084,18 +1101,61 @@ mod tests {
             let reads = clock.0.load(std::sync::atomic::Ordering::Relaxed);
             (reads, closing_calls, e.counters().clone(), e.actions().to_vec())
         };
-        let (reads, _, off, off_actions) = run(Telemetry::disabled());
+        // Metrics on: two reads per sampled decode (one attempt in
+        // `DECODE_SAMPLE_EVERY`, counting from the first) plus two per
+        // call that closed a tick, one histogram sample each.
+        let sampled = |attempts: u64| attempts.div_ceil(DECODE_SAMPLE_EVERY);
+        let genuine = |t: u64, sensor: u16, positions: &[usize], rng: &mut Rng| {
+            let values = positions.iter().map(|_| -50.0 + rng.normal() as f32 * 0.6).collect();
+            Frame::rssi(sensor, t as u32, t, values)
+        };
+
+        // A lossless 60-tick day of v1 wire frames.
+        let mut day = Vec::new();
+        for t in 0..60u64 {
+            let mut rng = Rng::task_stream(99, t);
+            for (sensor, positions) in groups() {
+                day.push(genuine(t, sensor, &positions, &mut rng).encode());
+            }
+        }
+        let (reads, _, off, off_actions) = run(Telemetry::disabled(), &day, false);
         assert_eq!(reads, 0, "telemetry off, yet the clock was read");
         assert_eq!((off.decode.count(), off.step.count()), (0, 0));
         assert_eq!(off.ticks_processed, 60);
-
-        // Metrics on: two reads per decoded frame plus two per call
-        // that closed a tick, one sample each.
-        let (reads, closing_calls, on, on_actions) = run(Telemetry::metrics_only());
+        let (reads, closing_calls, on, on_actions) = run(Telemetry::metrics_only(), &day, false);
         assert_eq!(on.frames_in, 120);
         assert_eq!(closing_calls, 60);
-        assert_eq!(reads, 2 * on.frames_in + 2 * closing_calls);
-        assert_eq!((on.decode.count(), on.step.count()), (on.frames_in, closing_calls));
+        assert_eq!(reads, 2 * sampled(120) + 2 * closing_calls);
+        assert_eq!(reads, 124);
+        assert_eq!((on.decode.count(), on.step.count()), (2, closing_calls));
+        assert_eq!(on.deterministic_summary(), off.deterministic_summary());
+        assert_eq!(on_actions, off_actions);
+
+        // An authenticated flood: each tick carries two genuine v4
+        // frames and eight forged under the wrong key. Every frame is a
+        // decode attempt, rejected or not.
+        let wrong_key = AuthKey::derive(0xBAD, 1);
+        let mut flood = Vec::new();
+        for t in 0..200u64 {
+            let mut rng = Rng::task_stream(99, t);
+            for (sensor, positions) in groups() {
+                let key = keys.get(sensor).unwrap();
+                flood.push(genuine(t, sensor, &positions, &mut rng).encode_auth(key));
+            }
+            for i in 0..8u32 {
+                let forged = Frame::rssi((i % 2) as u16, 1_000 + i, t, vec![-30.0, -30.0]);
+                flood.push(forged.encode_auth(&wrong_key));
+            }
+        }
+        let (reads, _, off, off_actions) = run(Telemetry::disabled(), &flood, true);
+        assert_eq!(reads, 0, "telemetry off, yet the clock was read");
+        assert_eq!((off.frames_in, off.frames_unauthenticated), (400, 1_600));
+        let (reads, closing_calls, on, on_actions) = run(Telemetry::metrics_only(), &flood, true);
+        assert_eq!(closing_calls, 200);
+        // Timing every decode would read the clock 2·2,000 + 400 times.
+        assert_eq!(reads, 2 * sampled(2_000) + 2 * closing_calls);
+        assert_eq!(reads, 464);
+        assert_eq!((on.decode.count(), on.step.count()), (32, closing_calls));
         assert_eq!(on.deterministic_summary(), off.deterministic_summary());
         assert_eq!(on_actions, off_actions);
     }

@@ -781,31 +781,37 @@ mod tests {
         AuthKey::derive(0xD3B, sensor)
     }
 
+    /// Payload widths 0–16 give MAC inputs of 21 to 85 bytes (header
+    /// minus tag, then payload), so verification sees every partial
+    /// last block under the right key and the wrong one.
     #[test]
     fn authenticated_round_trip_and_verify() {
-        let f = Frame {
-            office: 7,
-            channel: ChannelKind::Rssi,
-            sensor: 3,
-            seq: 41,
-            tick: 123_456,
-            values: vec![-50.25, -61.5, 0.0],
-        };
-        let key = test_key(3);
-        let bytes = f.encode_auth(&key);
-        assert_eq!(bytes.len(), f.encoded_len_auth());
-        assert_eq!(bytes.len(), HEADER_LEN_V4 + 4 * 3 + 4);
-        assert_eq!(u16::from_le_bytes([bytes[0], bytes[1]]), FRAME_MAGIC_V4);
-        let (view, used) = Frame::decode_borrowed(&bytes).unwrap();
-        assert_eq!(used, bytes.len());
-        assert_eq!(view.to_frame(), f);
-        assert!(view.is_authenticated());
-        assert!(view.mac_tag().is_some());
-        assert!(view.verify_mac(&key), "a clean frame must verify under its own key");
-        assert!(!view.verify_mac(&test_key(4)), "the wrong key must not verify");
-        // The owned decode path agrees.
-        let (owned, n) = Frame::decode(&bytes).unwrap();
-        assert_eq!((owned, n), (f, bytes.len()));
+        for width in 0..=16usize {
+            let f = Frame {
+                office: 7,
+                channel: ChannelKind::Rssi,
+                sensor: 3,
+                seq: 41,
+                tick: 123_456,
+                values: (0..width).map(|i| -50.25 - i as f32 * 1.5).collect(),
+            };
+            let key = test_key(3);
+            let bytes = f.encode_auth(&key);
+            assert_eq!(bytes.len(), f.encoded_len_auth());
+            assert_eq!(bytes.len(), HEADER_LEN_V4 + 4 * width + 4);
+            assert_eq!(bytes.len() - 8 - 4, 21 + 4 * width, "MAC input length");
+            assert_eq!(u16::from_le_bytes([bytes[0], bytes[1]]), FRAME_MAGIC_V4);
+            let (view, used) = Frame::decode_borrowed(&bytes).unwrap();
+            assert_eq!(used, bytes.len());
+            assert_eq!(view.to_frame(), f);
+            assert!(view.is_authenticated());
+            assert!(view.mac_tag().is_some());
+            assert!(view.verify_mac(&key), "width {width}: must verify under its own key");
+            assert!(!view.verify_mac(&test_key(4)), "width {width}: the wrong key verified");
+            // The owned decode path agrees.
+            let (owned, n) = Frame::decode(&bytes).unwrap();
+            assert_eq!((owned, n), (f, bytes.len()));
+        }
     }
 
     #[test]

@@ -142,6 +142,20 @@ fi
 cargo run -q --release --offline -p fadewich-fleet --bin fadewichd -- \
     stats "$workdir/metrics1.json" > "$workdir/stats.out"
 grep -q "rule1" "$workdir/stats.out"
+# An unwritable --metrics-out fails before the run is spent: exit 7
+# (I/O failure), nothing streamed, and an error that names the
+# metrics path rather than the decision log.
+status=0
+cargo run -q --release --offline -p fadewich-fleet --bin fadewichd -- replay \
+    --metrics-out "$workdir/missing/m.json" \
+    > "$workdir/badout.out" 2> "$workdir/badout.err" || status=$?
+if [ "$status" != 7 ] || [ -s "$workdir/badout.out" ] \
+    || ! grep -qF "$workdir/missing/m.json" "$workdir/badout.err" \
+    || grep -q "decision log" "$workdir/badout.err"; then
+    echo "bad --metrics-out: want exit 7, empty stdout, the path on stderr (exit $status):" >&2
+    cat "$workdir/badout.err" >&2
+    exit 1
+fi
 
 # Perf-baseline smoke gate: `reproduce bench` must complete at smoke
 # sizes, emit schema-valid JSON, and be deterministic across runs in
